@@ -2,6 +2,7 @@
 
 #include <functional>
 #include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -53,10 +54,6 @@ void wrap_cancellable(mem::Workload& w, const std::atomic<bool>& cancel) {
                                                    &cancel);
 }
 
-const char* mode_name(mem::HierarchyMode m) {
-  return m == mem::HierarchyMode::hybrid ? "hybrid" : "cache_only";
-}
-
 }  // namespace
 
 const char* to_string(ErrorKind kind) noexcept {
@@ -89,28 +86,12 @@ void record_metrics(report::BenchReport& b, const std::string& prefix,
   b.record(prefix + "cycles", m.cycles, "cycles");
   b.record(prefix + "energy_pj", m.energy_pj(), "pJ");
   b.record(prefix + "noc_flit_hops", m.noc_flit_hops, "flit-hops");
-  const auto count = [&](const char* name, std::uint64_t v) {
-    b.record(prefix + name, static_cast<double>(v), "count");
-  };
-  count("accesses", m.accesses);
-  count("l1_hits", m.l1_hits);
-  count("l1_misses", m.l1_misses);
-  count("l2_hits", m.l2_hits);
-  count("l2_misses", m.l2_misses);
-  count("spm_hits", m.spm_hits);
-  count("dram_line_reads", m.dram_line_reads);
-  count("dram_line_writes", m.dram_line_writes);
-  count("dram_row_hits", m.dram_row_hits);
-  count("dram_row_misses", m.dram_row_misses);
-  count("dram_row_conflicts", m.dram_row_conflicts);
-  count("dram_refreshes", m.dram_refreshes);
-  count("invalidations", m.invalidations);
-  count("writebacks", m.writebacks);
-  count("prefetch_fills", m.prefetch_fills);
-  count("dma_transfers", m.dma_transfers);
-  count("guarded_lookups", m.guarded_lookups);
-  count("guarded_to_spm", m.guarded_to_spm);
-  count("remote_spm_accesses", m.remote_spm_accesses);
+  // The counters, in declaration order.
+  mem::for_each_metric_field(
+      [&]<class T>(const char* name, T mem::Metrics::*field) {
+        if constexpr (std::is_same_v<T, std::uint64_t>)
+          b.record(prefix + name, static_cast<double>(m.*field), "count");
+      });
 }
 
 namespace {
@@ -194,14 +175,15 @@ JobOutcome run_attempt_impl(const JobSpec& job, const JobSettings& settings,
   b.set_param("backend", mem::to_string(cfg.memory.kind));
   if (!job.trace.empty()) {
     b.set_param("trace", job.trace);
-    b.set_param("mode", mode_name(modes[0]));
+    b.set_param("mode", mem::to_string(modes[0]));
   } else {
     b.set_param("scenario", job.scenario);
     b.set_param("mode", scen::to_string(scenario.mode));
     b.set_param("seed", std::to_string(scenario.seed));
   }
   for (std::size_t i = 0; i < modes.size(); ++i)
-    record_metrics(b, std::string{mode_name(modes[i])} + "/", results[i]);
+    record_metrics(b, std::string{mem::to_string(modes[i])} + "/",
+                   results[i]);
   if (modes.size() == 2) {
     b.record("time_x", results[0].cycles / results[1].cycles, "x");
     b.record("energy_x", results[0].energy_pj() / results[1].energy_pj(),

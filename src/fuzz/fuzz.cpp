@@ -7,7 +7,6 @@
 #include "fleet/manifest.hpp"
 #include "fuzz/oracles.hpp"
 #include "fuzz/shrink.hpp"
-#include "memsim/linetable.hpp"
 #include "memsim/system.hpp"
 #include "report/report.hpp"
 #include "scenario/trace.hpp"
@@ -16,19 +15,15 @@ namespace raa::fuzz {
 
 namespace {
 
-const char* mode_str(mem::HierarchyMode m) {
-  return m == mem::HierarchyMode::cache_only ? "cache_only" : "hybrid";
-}
-
-/// Record a reference run (paged store, serial engine) of `s` under the
-/// divergence's hierarchy mode and persist it as a RAAT trace next to the
-/// JSON repro, so a triager can replay the exact access streams.
+/// Record a reference run (serial engine) of `s` under the divergence's
+/// hierarchy mode and persist it as a RAAT trace next to the JSON repro,
+/// so a triager can replay the exact access streams.
 bool write_repro_trace(const scen::Scenario& s, mem::HierarchyMode mode,
                        const std::string& path, std::string* error) {
   scen::TraceData trace;
   mem::Workload w = s.instantiate();
   scen::record_workload(w, s.config, mode, trace);
-  (void)mem::run_with_store(s.config, mode, w, mem::LineStore::paged);
+  (void)mem::System{s.config, mode}.run(w);
   return trace.write_file(path, error);
 }
 
@@ -157,7 +152,7 @@ FuzzResult run_fuzz(const FuzzOptions& opt) {
     d.set("index", static_cast<double>(i));
     d.set("scenario", s.name);
     d.set("oracle", to_string(div->oracle));
-    d.set("mode", mode_str(div->mode));
+    d.set("mode", mem::to_string(div->mode));
     d.set("detail", final_div ? final_div->detail : div->detail);
     json::Value sh;
     sh.set("rounds", stats.rounds);

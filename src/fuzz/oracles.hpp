@@ -1,15 +1,14 @@
 #pragma once
 /// \file oracles.hpp
 /// The differential oracle battery: every generated scenario is run through
-/// four independent pairs of executions that the simulator contracts to be
+/// independent pairs of executions that the simulator contracts to be
 /// *exactly* equal (Metrics operator== is bit-for-bit, FP sums included):
 ///
-///   store     paged line table        vs  hashed line table
 ///   shards    serial engine           vs  N-sharded engine
 ///   replay    live generators         vs  recorded-trace replay
 ///   roundtrip the scenario as built   vs  parse(to_json(scenario))
 ///   backend   forced-banked copy: serial vs sharded, and recorded run
-///             vs trace replay (the four pairs above already run under
+///             vs trace replay (the three pairs above already run under
 ///             whichever DRAM backend the scenario itself selected)
 ///
 /// A further, test-only oracle ("marker") fails for exactly the scenarios
@@ -26,7 +25,6 @@
 namespace raa::fuzz {
 
 enum class Oracle : std::uint8_t {
-  store,
   shards,
   replay,
   roundtrip,
@@ -44,7 +42,7 @@ struct OracleOptions {
 /// One disagreement: which pair diverged, under which hierarchy mode, and
 /// a short what-differed message for the repro report.
 struct Divergence {
-  Oracle oracle = Oracle::store;
+  Oracle oracle = Oracle::shards;
   mem::HierarchyMode mode = mem::HierarchyMode::cache_only;
   std::string detail;
 };

@@ -144,6 +144,9 @@ enum class HierarchyMode : std::uint8_t {
   hybrid,      ///< SPM+cache with the co-designed coherence protocol
 };
 
+/// "cache_only" / "hybrid": the name reports, tables and traces use.
+const char* to_string(HierarchyMode m) noexcept;
+
 /// Aggregated simulation results.
 struct Metrics {
   double cycles = 0.0;  ///< makespan: max per-core clock
@@ -179,5 +182,41 @@ struct Metrics {
   /// are *exact*, so equality here is ==, not a tolerance.
   friend bool operator==(const Metrics&, const Metrics&) = default;
 };
+
+/// Call `f(name, member_pointer)` for every Metrics field, in declaration
+/// order. This is the one field list: metrics diffs, fleet reports and the
+/// equality checks in tests all walk it, and a test pins it to
+/// sizeof(Metrics), so a new field cannot be left out of any of them.
+template <class F>
+constexpr void for_each_metric_field(F&& f) {
+  f("cycles", &Metrics::cycles);
+  f("noc_flit_hops", &Metrics::noc_flit_hops);
+  f("e_l1", &Metrics::e_l1);
+  f("e_l2", &Metrics::e_l2);
+  f("e_spm", &Metrics::e_spm);
+  f("e_dram", &Metrics::e_dram);
+  f("e_noc", &Metrics::e_noc);
+  f("e_dir", &Metrics::e_dir);
+  f("e_static", &Metrics::e_static);
+  f("accesses", &Metrics::accesses);
+  f("l1_hits", &Metrics::l1_hits);
+  f("l1_misses", &Metrics::l1_misses);
+  f("l2_hits", &Metrics::l2_hits);
+  f("l2_misses", &Metrics::l2_misses);
+  f("spm_hits", &Metrics::spm_hits);
+  f("dram_line_reads", &Metrics::dram_line_reads);
+  f("dram_line_writes", &Metrics::dram_line_writes);
+  f("dram_row_hits", &Metrics::dram_row_hits);
+  f("dram_row_misses", &Metrics::dram_row_misses);
+  f("dram_row_conflicts", &Metrics::dram_row_conflicts);
+  f("dram_refreshes", &Metrics::dram_refreshes);
+  f("invalidations", &Metrics::invalidations);
+  f("writebacks", &Metrics::writebacks);
+  f("prefetch_fills", &Metrics::prefetch_fills);
+  f("dma_transfers", &Metrics::dma_transfers);
+  f("guarded_lookups", &Metrics::guarded_lookups);
+  f("guarded_to_spm", &Metrics::guarded_to_spm);
+  f("remote_spm_accesses", &Metrics::remote_spm_accesses);
+}
 
 }  // namespace raa::mem

@@ -9,24 +9,18 @@
 /// per line, stored in demand-allocated dense pages. A typical access then
 /// does a single shift+index instead of 4–6 hash probes.
 ///
-/// Two backends share the same API:
-///  * `paged`  — the fast path: a sparse top-level page vector of dense
-///    fixed-size pages (the production configuration);
-///  * `hashed` — the old-shape reference path: one hash probe (plus a
-///    pointer chase) per lookup. Kept for the equivalence test suite,
-///    which runs whole workloads through both backends and asserts the
-///    Metrics are identical field-by-field.
+/// Storage is a sparse top-level vector of dense fixed-size pages. The
+/// LineTable test checks it against a std::map model.
 ///
 /// Reference stability: a `LineInfo&` returned by `at()` stays valid until
-/// `clear()` — pages are never moved or freed while the table lives, and
-/// the hashed backend boxes each record. The simulator relies on this to
-/// hold a line's record across victim evictions that create other lines.
+/// `clear()` — pages are never moved or freed while the table lives. The
+/// simulator relies on this to hold a line's record across victim
+/// evictions that create other lines.
 
 #include <array>
 #include <bit>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/check.hpp"
@@ -53,12 +47,6 @@ struct LineInfo {
 };
 static_assert(sizeof(LineInfo) == 48);
 
-/// Which storage backend a LineTable (and hence a System) uses.
-enum class LineStore : std::uint8_t {
-  paged,   ///< sparse page vector of dense pages (fast path)
-  hashed,  ///< hash map per line (old-shape reference path, tests only)
-};
-
 /// See file comment.
 class LineTable {
  public:
@@ -68,52 +56,37 @@ class LineTable {
   static constexpr unsigned kPageLineBits = 12;
   static constexpr std::size_t kPageLines = std::size_t{1} << kPageLineBits;
 
-  explicit LineTable(unsigned line_bytes, LineStore store = LineStore::paged)
-      : line_bytes_(line_bytes), store_(store) {
+  explicit LineTable(unsigned line_bytes) : line_bytes_(line_bytes) {
     RAA_CHECK(line_bytes > 0);
     line_pow2_ = std::has_single_bit(line_bytes);
     if (line_pow2_)
       line_shift_ = static_cast<unsigned>(std::countr_zero(line_bytes));
   }
 
-  LineStore store() const noexcept { return store_; }
-
   /// Get-or-create the record for a (line-aligned) address.
   LineInfo& at(std::uint64_t line_addr) {
     const std::uint64_t idx = index_of(line_addr);
-    if (store_ == LineStore::paged) {
-      const std::size_t page = static_cast<std::size_t>(idx >> kPageLineBits);
-      if (page >= pages_.size()) pages_.resize(page + 1);
-      auto& p = pages_[page];
-      if (!p) p = std::make_unique<Page>();
-      return (*p)[idx & (kPageLines - 1)];
-    }
-    auto& slot = map_[idx];
-    if (!slot) slot = std::make_unique<LineInfo>();
-    return *slot;
+    const std::size_t page = static_cast<std::size_t>(idx >> kPageLineBits);
+    if (page >= pages_.size()) pages_.resize(page + 1);
+    auto& p = pages_[page];
+    if (!p) p = std::make_unique<Page>();
+    return (*p)[idx & (kPageLines - 1)];
   }
 
-  /// Read-only lookup that never allocates. Returns nullptr when the line
-  /// was never touched (paged: page not allocated; hashed: no entry). A
-  /// null result is equivalent to a default-constructed LineInfo.
+  /// Read-only lookup that never allocates. Returns nullptr when the line's
+  /// page was never allocated; a null result is equivalent to a
+  /// default-constructed LineInfo.
   const LineInfo* peek(std::uint64_t line_addr) const {
     const std::uint64_t idx = index_of(line_addr);
-    if (store_ == LineStore::paged) {
-      const std::size_t page = static_cast<std::size_t>(idx >> kPageLineBits);
-      if (page >= pages_.size() || !pages_[page]) return nullptr;
-      return &(*pages_[page])[idx & (kPageLines - 1)];
-    }
-    const auto it = map_.find(idx);
-    return it == map_.end() ? nullptr : it->second.get();
+    const std::size_t page = static_cast<std::size_t>(idx >> kPageLineBits);
+    if (page >= pages_.size() || !pages_[page]) return nullptr;
+    return &(*pages_[page])[idx & (kPageLines - 1)];
   }
 
   /// Drop every record (invalidates all references).
-  void clear() {
-    pages_.clear();
-    map_.clear();
-  }
+  void clear() { pages_.clear(); }
 
-  /// Allocated page count (paged backend; 0 under hashed). Diagnostics.
+  /// Allocated page count. Diagnostics.
   std::size_t pages_allocated() const noexcept {
     std::size_t n = 0;
     for (const auto& p : pages_)
@@ -121,7 +94,7 @@ class LineTable {
     return n;
   }
 
-  /// Size of the top-level page vector (paged backend). Diagnostics.
+  /// Size of the top-level page vector. Diagnostics.
   std::size_t page_slots() const noexcept { return pages_.size(); }
 
  private:
@@ -134,10 +107,7 @@ class LineTable {
   unsigned line_bytes_;
   unsigned line_shift_ = 0;
   bool line_pow2_ = false;
-  LineStore store_;
   std::vector<std::unique_ptr<Page>> pages_;
-  /// Hashed backend boxes records so references survive rehashing.
-  std::unordered_map<std::uint64_t, std::unique_ptr<LineInfo>> map_;
 };
 
 }  // namespace raa::mem

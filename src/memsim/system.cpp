@@ -6,6 +6,7 @@
 #include <limits>
 #include <mutex>
 #include <optional>
+#include <span>
 
 #include "exec/parallel.hpp"
 #include "exec/pool.hpp"
@@ -18,6 +19,14 @@ const char* to_string(RefClass c) noexcept {
     case RefClass::strided: return "strided";
     case RefClass::random_noalias: return "random_noalias";
     case RefClass::random_unknown: return "random_unknown";
+  }
+  return "?";
+}
+
+const char* to_string(HierarchyMode m) noexcept {
+  switch (m) {
+    case HierarchyMode::cache_only: return "cache_only";
+    case HierarchyMode::hybrid: return "hybrid";
   }
   return "?";
 }
@@ -116,12 +125,8 @@ class CoreHeap {
 
 }  // namespace
 
-System::System(const SystemConfig& config, HierarchyMode mode,
-               LineStore store)
-    : cfg_(config),
-      mode_(mode),
-      noc_(config),
-      lines_(config.line_bytes, store) {
+System::System(const SystemConfig& config, HierarchyMode mode)
+    : cfg_(config), mode_(mode), noc_(config), lines_(config.line_bytes) {
   RAA_CHECK(cfg_.tiles <= 64);  // directory sharer mask is a 64-bit word
   line_pow2_ = std::has_single_bit(cfg_.line_bytes);
   chunk_pow2_ = std::has_single_bit(cfg_.dma_chunk_bytes);
@@ -813,49 +818,14 @@ void System::step(unsigned core, const Access& acc,
   core_clock_[core] += lat;
 }
 
-Metrics System::run_serial(Workload& workload) {
-  begin_run(workload);
-
-  // Per-core batched pull state: one virtual fill() per kBatch accesses.
-  constexpr unsigned kBatch = 64;
-  struct CoreState {
-    std::array<Access, kBatch> buf;
-    unsigned head = 0;
-    unsigned count = 0;
-    std::size_t last_region = 0;  ///< streams are strongly region-local
-  };
-  std::vector<CoreState> cores(cfg_.tiles);
-
-  // Advance the core with the smallest local clock (deterministic
-  // interleaving; ties resolved by core id).
-  CoreHeap order{core_clock_, cfg_.tiles};
-
-  while (!order.empty()) {
-    const unsigned core = order.top();
-    CoreState& cs = cores[core];
-    if (cs.head == cs.count) {
-      cs.count = static_cast<unsigned>(
-          workload.programs[core]->fill({cs.buf.data(), kBatch}));
-      cs.head = 0;
-      if (cs.count == 0) {  // core finished
-        order.pop_top();
-        continue;
-      }
-      metrics_.accesses += cs.count;  // counted per batch, not per access
-    }
-    step(core, cs.buf[cs.head++], cs.last_region);
-    order.sift_top();
-  }
-
-  return finish_run();
-}
-
 namespace {
 
-/// Accesses per producer fill in the sharded engine. Larger than the
-/// serial engine's pull batch: each generation crosses a mutex and the
-/// pool queue once. Batch size never changes the stream content (fill()
-/// only chunks the per-core sequence), so it is invisible in the Metrics.
+/// Accesses per fill() call. The inline source pulls kInlineBatch on the
+/// commit thread; the shard source's producers fill kShardBatch, larger
+/// because each generation crosses a mutex and the pool queue once.
+/// Batch size never changes the stream content (fill() only chunks the
+/// per-core sequence), so it is invisible in the Metrics.
+constexpr unsigned kInlineBatch = 64;
 constexpr unsigned kShardBatch = 256;
 
 /// One core's double-buffered access channel between its producer lane
@@ -869,41 +839,98 @@ struct ShardChannel {
   unsigned count[2] = {0, 0};
   bool ready[2] = {false, false};
   unsigned pending_gen = 0;  ///< next generation the producer will fill
-  bool paused = true;        ///< no producer task queued or running
+  bool paused = false;       ///< no producer task queued or running
   bool ended = false;        ///< fill() returned 0 (terminal) or cancelled
 
-  // Commit-loop-only fields (single thread, unguarded).
-  unsigned head = 0;       ///< consume index into the adopted slot
-  unsigned adopted = 0;    ///< count of the adopted slot
-  unsigned gen = 0;        ///< generation currently consumed
-  bool started = false;    ///< first generation adopted yet?
-  std::size_t last_region = 0;
+  // Commit-thread-only fields (single thread, unguarded).
+  unsigned gen = 0;      ///< generation currently consumed
+  bool started = false;  ///< first generation adopted yet?
 };
 
-}  // namespace
+/// Batch source of the sharded engine: every core's stream is generated
+/// ahead on concurrent producer lanes (pool tasks) into its ShardChannel;
+/// next() releases the consumed slot, resumes a paused producer and
+/// adopts the following generation, helping the pool while it waits.
+class ShardSource {
+ public:
+  ShardSource(Workload& workload, unsigned tiles, unsigned shards,
+              exec::Pool* pool)
+      : workload_(workload),
+        channels_(tiles),
+        // A private pool contributes shards - 1 producer threads; the
+        // commit thread is the remaining lane (it helps run fills while it
+        // waits).
+        pool_(pool != nullptr ? pool : &own_pool_.emplace(shards - 1)) {
+    for (unsigned core = 0; core < tiles; ++core) submit(core);
+  }
+  // Producer tasks hold `this`.
+  ShardSource(const ShardSource&) = delete;
+  ShardSource& operator=(const ShardSource&) = delete;
 
-Metrics System::run_sharded(Workload& workload, unsigned shards,
-                            exec::Pool* pool) {
-  begin_run(workload);
-
-  // A private pool contributes shards - 1 producer threads; the commit
-  // thread is the remaining lane (it helps run fills while it waits).
-  std::optional<exec::Pool> own_pool;
-  if (pool == nullptr) {
-    own_pool.emplace(shards - 1);
-    pool = &*own_pool;
+  std::span<const Access> next(unsigned core) {
+    ShardChannel& ch = channels_[core];
+    // Release the consumed slot and wake its paused producer.
+    if (ch.started) {
+      bool resume = false;
+      {
+        const std::scoped_lock lock{ch.m};
+        ch.ready[ch.gen & 1] = false;
+        if (ch.paused && !ch.ended) {
+          ch.paused = false;
+          resume = true;
+        }
+      }
+      if (resume) submit(core);
+      ++ch.gen;
+    }
+    // Adopt the next generation (helping the pool while it is not ready;
+    // a failed producer also ends the wait — see drive()).
+    const unsigned slot = ch.gen & 1;
+    pool_->help_while(
+        [&] {
+          if (pool_->failed(group_)) return false;
+          const std::scoped_lock lock{ch.m};
+          return !ch.ready[slot];
+        },
+        &group_);
+    unsigned count = 0;
+    {
+      const std::scoped_lock lock{ch.m};
+      RAA_CHECK_MSG(ch.ready[slot], "shard producer failed");  // see drive()
+      count = ch.count[slot];
+    }
+    ch.started = true;
+    return {ch.buf[slot].data(), count};
   }
 
-  std::vector<ShardChannel> channels(cfg_.tiles);
-  exec::Pool::Group group;
-  std::atomic<bool> cancel{false};
+  /// Run `commit` (which drains this source) and join the producers.
+  /// On failure, unwind without dangling references: stop the producer
+  /// chains and drain the pool. A producer failure surfaces with priority
+  /// (its exception index precedes the commit loop's reaction to it).
+  template <class Commit>
+  void drive(Commit&& commit) {
+    try {
+      commit();
+    } catch (...) {
+      cancel_.store(true, std::memory_order_relaxed);
+      if (std::exception_ptr err = pool_->wait_collect(group_))
+        std::rethrow_exception(err);
+      throw;
+    }
+    pool_->wait(group_);
+  }
 
-  // Producer lane for one generation of one core: fill the slot, publish
-  // it, and chain the next generation if its slot is already free. Each
-  // core has at most one producer task in flight, so its CoreProgram is
-  // only ever touched by one thread at a time.
-  std::function<void(unsigned)> produce = [&](unsigned core) {
-    ShardChannel& ch = channels[core];
+ private:
+  void submit(unsigned core) {
+    pool_->submit(group_, [this, core] { produce(core); });
+  }
+
+  /// Producer lane for one generation of one core: fill the slot, publish
+  /// it, and chain the next generation if its slot is already free. Each
+  /// core has at most one producer task in flight, so its CoreProgram is
+  /// only ever touched by one thread at a time.
+  void produce(unsigned core) {
+    ShardChannel& ch = channels_[core];
     unsigned gen;
     {
       const std::scoped_lock lock{ch.m};
@@ -911,10 +938,10 @@ Metrics System::run_sharded(Workload& workload, unsigned shards,
     }
     const unsigned slot = gen & 1;
     const unsigned count =
-        cancel.load(std::memory_order_relaxed)
+        cancel_.load(std::memory_order_relaxed)
             ? 0
-            : static_cast<unsigned>(workload.programs[core]->fill(
-                  {ch.buf[slot].data(), kShardBatch}));
+            : static_cast<unsigned>(
+                  workload_.programs[core]->fill(ch.buf[slot]));
     bool chain = false;
     {
       const std::scoped_lock lock{ch.m};
@@ -930,90 +957,67 @@ Metrics System::run_sharded(Workload& workload, unsigned shards,
         ch.paused = true;  // both slots full; commit loop resumes us
       }
     }
-    if (chain) pool->submit(group, [&produce, core] { produce(core); });
-  };
-
-  for (unsigned core = 0; core < cfg_.tiles; ++core) {
-    channels[core].paused = false;
-    pool->submit(group, [&produce, core] { produce(core); });
+    if (chain) submit(core);
   }
 
-  // The commit loop: identical interleave, adoption and retirement order
-  // as run_serial — it merely swaps the inline fill() for adopting the
-  // producer-filled slot of the next generation.
-  auto commit = [&] {
-    CoreHeap order{core_clock_, cfg_.tiles};
-    while (!order.empty()) {
-      const unsigned core = order.top();
-      ShardChannel& ch = channels[core];
-      if (!ch.started || ch.head == ch.adopted) {
-        // Release the consumed slot and wake its paused producer.
-        if (ch.started) {
-          bool resume = false;
-          {
-            const std::scoped_lock lock{ch.m};
-            ch.ready[ch.gen & 1] = false;
-            if (ch.paused && !ch.ended) {
-              ch.paused = false;
-              resume = true;
-            }
-          }
-          if (resume) pool->submit(group, [&produce, core] { produce(core); });
-          ++ch.gen;
-        }
-        // Adopt the next generation (helping the pool while it is not
-        // ready; a failed producer also ends the wait — see below).
-        const unsigned slot = ch.gen & 1;
-        pool->help_while(
-            [&] {
-              if (pool->failed(group)) return false;
-              const std::scoped_lock lock{ch.m};
-              return !ch.ready[slot];
-            },
-            &group);
-        {
-          const std::scoped_lock lock{ch.m};
-          if (!ch.ready[slot]) {
-            RAA_CHECK_MSG(false, "shard producer failed");  // rethrown below
-          }
-          ch.adopted = ch.count[slot];
-        }
-        ch.started = true;
-        ch.head = 0;
-        if (ch.adopted == 0) {  // core finished
-          order.pop_top();
-          continue;
-        }
-        metrics_.accesses += ch.adopted;
+  Workload& workload_;
+  std::vector<ShardChannel> channels_;
+  std::optional<exec::Pool> own_pool_;  // declared before pool_ (init order)
+  exec::Pool* pool_;
+  exec::Pool::Group group_;
+  std::atomic<bool> cancel_{false};
+};
+
+}  // namespace
+
+template <class NextBatch>
+void System::commit(NextBatch&& next_batch) {
+  struct Cursor {
+    const Access* next = nullptr;
+    const Access* end = nullptr;
+    std::size_t last_region = 0;  ///< streams are strongly region-local
+  };
+  std::vector<Cursor> cursors(cfg_.tiles);
+
+  // Advance the core with the smallest local clock (deterministic
+  // interleaving; ties resolved by core id).
+  CoreHeap order{core_clock_, cfg_.tiles};
+  while (!order.empty()) {
+    const unsigned core = order.top();
+    Cursor& c = cursors[core];
+    if (c.next == c.end) {
+      const std::span<const Access> batch = next_batch(core);
+      if (batch.empty()) {  // core finished
+        order.pop_top();
+        continue;
       }
-      step(core, ch.buf[ch.gen & 1][ch.head++], ch.last_region);
-      order.sift_top();
+      metrics_.accesses += batch.size();  // counted per batch, not per access
+      c.next = batch.data();
+      c.end = c.next + batch.size();
     }
-  };
-
-  try {
-    commit();
-  } catch (...) {
-    // Unwind without dangling references: stop the producer chains and
-    // drain the pool. A producer failure surfaces with priority (its
-    // exception index precedes the commit loop's reaction to it).
-    cancel.store(true, std::memory_order_relaxed);
-    if (std::exception_ptr err = pool->wait_collect(group))
-      std::rethrow_exception(err);
-    throw;
+    step(core, *c.next++, c.last_region);
+    order.sift_top();
   }
-  pool->wait(group);
-
-  return finish_run();
 }
 
-Metrics System::run(Workload& workload) { return run_serial(workload); }
-
 Metrics System::run(Workload& workload, const RunOptions& options) {
+  begin_run(workload);
   const unsigned shards =
       std::clamp(options.shards, 1u, std::max(1u, cfg_.tiles));
-  if (shards <= 1 && options.pool == nullptr) return run_serial(workload);
-  return run_sharded(workload, shards, options.pool);
+  if (shards <= 1 && options.pool == nullptr) {
+    // Inline source: fill() on the commit thread, no lock, no pool call.
+    std::vector<std::array<Access, kInlineBatch>> bufs(cfg_.tiles);
+    commit([&](unsigned core) {
+      auto& buf = bufs[core];
+      return std::span<const Access>{
+          buf.data(), workload.programs[core]->fill(buf)};
+    });
+  } else {
+    ShardSource source{workload, cfg_.tiles, shards, options.pool};
+    source.drive(
+        [&] { commit([&](unsigned core) { return source.next(core); }); });
+  }
+  return finish_run();
 }
 
 ComparisonResult run_comparison(const SystemConfig& config,
@@ -1021,7 +1025,7 @@ ComparisonResult run_comparison(const SystemConfig& config,
                                 const ComparisonOptions& options) {
   const auto half = [&](HierarchyMode mode) {
     Workload w = make_workload();
-    System sys{config, mode, options.store};
+    System sys{config, mode};
     return sys.run(w, RunOptions{options.shards, options.pool});
   };
   ComparisonResult result;
@@ -1042,13 +1046,6 @@ ComparisonResult run_comparison(const SystemConfig& config,
         (i == 0 ? result.cache_only : result.hybrid) = std::move(m);
       });
   return result;
-}
-
-Metrics run_with_store(const SystemConfig& config, HierarchyMode mode,
-                       Workload& workload, LineStore store,
-                       const RunOptions& options) {
-  System sys{config, mode, store};
-  return sys.run(workload, options);
 }
 
 }  // namespace raa::mem

@@ -28,14 +28,15 @@
 /// directory, SPM mappings, prefetch tags) lives in one flat line table
 /// (linetable.hpp) fetched once per access; cores interleave through a
 /// flat index-min heap sifted in place; access streams are pulled in
-/// batches through CoreProgram::fill. The `LineStore::hashed` backend
-/// preserves the old per-access-hash shape for equivalence testing.
+/// batches through CoreProgram::fill.
 ///
-/// Host parallelism: run(workload, RunOptions{.shards = N}) decouples the
-/// access-stream front end onto N concurrent producer lanes (src/exec/)
-/// while the protocol commit stays in serial interleave order, keeping
-/// the Metrics field-identical to the serial engine for every N (pinned
-/// by the ShardEquivalence suite; design note in docs/ARCHITECTURE.md).
+/// One commit loop serves every run. It is templated on where a core's
+/// next batch comes from: an inline source calls fill() on the commit
+/// thread (the serial engine), a shard source adopts batches that N
+/// concurrent producer lanes (src/exec/) generated ahead. The protocol
+/// commit is the same code in the same interleave order either way, so
+/// the Metrics are field-identical for every N (pinned by the
+/// ShardEquivalence suite; design note in docs/ARCHITECTURE.md).
 
 #include <algorithm>
 #include <array>
@@ -68,7 +69,8 @@ namespace raa::mem {
 /// every shared-state transition (L2 banks, directory, line values,
 /// version/tag counters, metrics) happens in the identical sequence.
 struct RunOptions {
-  /// Concurrent front-end lanes. 1 = the fully serial engine.
+  /// Concurrent front-end lanes. 1 with no pool = the serial engine:
+  /// fills run inline on the commit thread, with no lock or pool call.
   unsigned shards = 1;
   /// Pool to run the shard producers on. Null with shards > 1 spawns a
   /// private pool of shards - 1 workers (the committing thread is the
@@ -80,19 +82,16 @@ struct RunOptions {
 /// See file comment.
 class System {
  public:
-  System(const SystemConfig& config, HierarchyMode mode,
-         LineStore store = LineStore::paged);
+  System(const SystemConfig& config, HierarchyMode mode);
 
   /// Run a workload to completion and return the metrics. The workload's
   /// programs are consumed. Requires programs.size() == config.tiles.
-  Metrics run(Workload& workload);
-
-  /// As above, with sharded front-end execution (see RunOptions).
-  Metrics run(Workload& workload, const RunOptions& options);
+  /// `options` selects serial or sharded front-end execution; the result
+  /// is the same either way (see RunOptions).
+  Metrics run(Workload& workload, const RunOptions& options = {});
 
   HierarchyMode mode() const noexcept { return mode_; }
   const SystemConfig& config() const noexcept { return cfg_; }
-  LineStore line_store() const noexcept { return lines_.store(); }
 
  private:
   static std::uint64_t bit(unsigned tile) noexcept {
@@ -192,8 +191,11 @@ class System {
   /// Simulate one access of `core` end to end (clock advance + protocol).
   /// `last_region` memoises the core's region lookup across accesses.
   void step(unsigned core, const Access& acc, std::size_t& last_region);
-  Metrics run_serial(Workload& workload);
-  Metrics run_sharded(Workload& workload, unsigned shards, exec::Pool* pool);
+  /// The commit loop: pick the core with the smallest clock, refill its
+  /// batch (or retire it), step one access, re-seat it. The batch source
+  /// `next_batch(core)` returns the core's next accesses, empty at the end.
+  template <class NextBatch>
+  void commit(NextBatch&& next_batch);
 
   SystemConfig cfg_;
   HierarchyMode mode_;
@@ -279,7 +281,6 @@ struct ComparisonOptions {
   /// completion order. `make_workload` must then be safe to call from two
   /// threads at once. Null runs the halves back to back.
   exec::Pool* pool = nullptr;
-  LineStore store = LineStore::paged;
 };
 
 /// Build and run `make_workload()` under both hierarchy configurations.
@@ -289,15 +290,5 @@ struct ComparisonOptions {
 ComparisonResult run_comparison(const SystemConfig& config,
                                 const std::function<Workload()>& make_workload,
                                 const ComparisonOptions& options = {});
-
-/// Run `workload` to completion on a fresh System with an explicit
-/// per-line state backend. This is the differential hook the scenario
-/// fuzzer drives: the paged and hashed LineTable backends must produce
-/// field-identical Metrics for every workload (the StoreEquivalence
-/// contract), so any mismatch here is a simulator bug, not a workload
-/// property.
-Metrics run_with_store(const SystemConfig& config, HierarchyMode mode,
-                       Workload& workload, LineStore store,
-                       const RunOptions& options = {});
 
 }  // namespace raa::mem

@@ -52,7 +52,7 @@ PointerChaseProgram::PointerChaseProgram(const PointerChaseParams& p,
     : p_(p) {
   const std::uint64_t elems = slice_elems(p_.slice, p_.elem_bytes);
   RAA_CHECK_MSG(elems >= 2, "pointer chase needs at least two elements");
-  RAA_CHECK_MSG(elems <= (1ull << 26),
+  RAA_CHECK_MSG(elems <= kMaxPointerChaseElems,
                 "pointer-chase slice too large to materialise the cycle");
   // Sattolo's algorithm: a uniformly random single-cycle permutation, so
   // the walk visits every element exactly once per lap.

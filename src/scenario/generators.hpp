@@ -77,6 +77,11 @@ class ZipfProgram final : public GenProgram {
 
 // --- pointer chase --------------------------------------------------------
 
+/// Largest pointer-chase slice, in elements. The walk materialises its
+/// successor permutation as 32-bit indices: 256 MiB at this limit. The
+/// scenario parser rejects larger slices before anything is allocated.
+inline constexpr std::uint64_t kMaxPointerChaseElems = 1ull << 26;
+
 struct PointerChaseParams {
   Slice slice;
   std::uint64_t accesses = 0;

@@ -566,7 +566,17 @@ bool parse_program(Ctx& c, const Value& v, const std::string& path,
     if (!req(c, v, path, "accesses", to_u64, p.accesses)) return false;
     if (p.accesses == 0) return c.fail(path + ".accesses", "must be positive");
     if (!elem_and_gap()) return false;
-    return window_check(p.region, p.per_core_slice, 2);
+    if (!window_check(p.region, p.per_core_slice, 2)) return false;
+    const std::uint64_t elems =
+        window_bytes(regions[p.region], p.per_core_slice, tiles) /
+        p.elem_bytes;
+    if (elems > kMaxPointerChaseElems)
+      return c.fail(path, "region '" + regions[p.region].name +
+                              "' window too large for a pointer chase: " +
+                              std::to_string(elems) + " elements exceed the " +
+                              std::to_string(kMaxPointerChaseElems) +
+                              "-element limit");
+    return true;
   }
   if (gen == "stencil") {
     p.kind = GenKind::stencil;

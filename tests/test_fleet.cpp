@@ -29,10 +29,19 @@ using raa::json::Value;
 
 // --- fixtures -----------------------------------------------------------
 
+/// A temp-file path private to the running test. CTest runs each test
+/// case in its own process, concurrently under -j, so a shared name would
+/// let one process truncate a scenario while another reads it.
+std::string temp_file(const std::string& name) {
+  return ::testing::TempDir() +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+         "_" + name + ".json";
+}
+
 /// Write a small self-contained scenario file and return its path.
 std::string write_scenario(const std::string& name, unsigned accesses,
                            const std::string& mode = "compare") {
-  const std::string path = ::testing::TempDir() + name + ".json";
+  const std::string path = temp_file(name);
   std::ofstream out{path};
   out << R"({
   "name": ")" << name << R"(",
@@ -326,7 +335,7 @@ TEST(Fleet, FailFastSkipsUnstartedJobs) {
 }
 
 TEST(Fleet, UnparseableScenarioIsAClassifiedJobFailureNotACrash) {
-  const std::string bad = ::testing::TempDir() + "fleet_bad.json";
+  const std::string bad = temp_file("fleet_bad");
   std::ofstream{bad} << "{ this is not json";
   FleetOptions opt;
   opt.manifest = small_manifest();

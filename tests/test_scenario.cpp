@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "expect_metrics.hpp"
 #include "kernels/program.hpp"
 #include "memsim/system.hpp"
 #include "report/json.hpp"
@@ -45,37 +46,6 @@ SystemConfig small_cfg() {
   cfg.spm_bytes = 8 * 1024;
   cfg.dma_chunk_bytes = 1024;
   return cfg;
-}
-
-/// Field-by-field Metrics equality: the record/replay and shard contracts
-/// are exact, so even the FP sums must match bit-for-bit.
-void expect_metrics_equal(const Metrics& a, const Metrics& b) {
-  EXPECT_DOUBLE_EQ(a.cycles, b.cycles);
-  EXPECT_DOUBLE_EQ(a.noc_flit_hops, b.noc_flit_hops);
-  EXPECT_DOUBLE_EQ(a.e_l1, b.e_l1);
-  EXPECT_DOUBLE_EQ(a.e_l2, b.e_l2);
-  EXPECT_DOUBLE_EQ(a.e_spm, b.e_spm);
-  EXPECT_DOUBLE_EQ(a.e_dram, b.e_dram);
-  EXPECT_DOUBLE_EQ(a.e_noc, b.e_noc);
-  EXPECT_DOUBLE_EQ(a.e_dir, b.e_dir);
-  EXPECT_DOUBLE_EQ(a.e_static, b.e_static);
-  EXPECT_EQ(a.accesses, b.accesses);
-  EXPECT_EQ(a.l1_hits, b.l1_hits);
-  EXPECT_EQ(a.l1_misses, b.l1_misses);
-  EXPECT_EQ(a.l2_hits, b.l2_hits);
-  EXPECT_EQ(a.l2_misses, b.l2_misses);
-  EXPECT_EQ(a.spm_hits, b.spm_hits);
-  EXPECT_EQ(a.dram_line_reads, b.dram_line_reads);
-  EXPECT_EQ(a.dram_line_writes, b.dram_line_writes);
-  EXPECT_EQ(a.invalidations, b.invalidations);
-  EXPECT_EQ(a.writebacks, b.writebacks);
-  EXPECT_EQ(a.prefetch_fills, b.prefetch_fills);
-  EXPECT_EQ(a.dma_transfers, b.dma_transfers);
-  EXPECT_EQ(a.guarded_lookups, b.guarded_lookups);
-  EXPECT_EQ(a.guarded_to_spm, b.guarded_to_spm);
-  EXPECT_EQ(a.remote_spm_accesses, b.remote_spm_accesses);
-  // The defaulted operator== must agree with the field-wise comparison.
-  EXPECT_TRUE(a == b);
 }
 
 /// Drain a program through fill() in `batch`-sized chunks.
@@ -370,6 +340,30 @@ TEST(ScenarioParse, ReportsActionableErrors) {
           {"iterations": 8, "streams": [
             {"region": "r", "kind": "linear", "stride": 8}]}]}]})",
       "multiple of dma_chunk_bytes");
+}
+
+TEST(ScenarioParse, RejectsOversizedPointerChaseSlice) {
+  // The chase materialises its whole cycle at instantiate, so the size
+  // limit is a parse error with a path, not a CheckError mid-run.
+  const auto parse = [](std::uint64_t elems, std::string* err) {
+    const std::string doc =
+        R"({"name": "t", "regions": [{"name": "r", "bytes": )" +
+        std::to_string(elems * 8) +
+        R"(, "class": "random_noalias"}], "programs": [
+          {"cores": [0], "generator": "zipf", "region": "r", "accesses": 10},
+          {"cores": [1], "generator": "pointer_chase", "region": "r",
+           "accesses": 10}]})";
+    const auto v = raa::json::Value::parse(doc, err);
+    EXPECT_TRUE(v.has_value()) << *err;
+    return v ? Scenario::parse(*v, err) : std::nullopt;
+  };
+  std::string err;
+  EXPECT_TRUE(parse(raa::scen::kMaxPointerChaseElems, &err).has_value())
+      << err;
+  EXPECT_FALSE(parse(raa::scen::kMaxPointerChaseElems + 1, &err).has_value());
+  EXPECT_NE(err.find("scenario.programs[1]"), std::string::npos) << err;
+  EXPECT_NE(err.find("too large for a pointer chase"), std::string::npos)
+      << err;
 }
 
 TEST(ScenarioParse, LoadFileReportsLineAndColumnForSyntaxErrors) {

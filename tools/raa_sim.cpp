@@ -71,10 +71,6 @@ using raa::mem::Workload;
 using raa::scen::Scenario;
 using raa::scen::TraceData;
 
-const char* mode_name(HierarchyMode m) {
-  return m == HierarchyMode::hybrid ? "hybrid" : "cache_only";
-}
-
 Metrics run_once(const SystemConfig& cfg, HierarchyMode mode, Workload& w,
                  unsigned shards) {
   System sys{cfg, mode};
@@ -115,7 +111,7 @@ bool selfcheck_mode(const SystemConfig& cfg, HierarchyMode mode,
     std::fprintf(stderr,
                  "selfcheck FAILED (%s): shards=4 metrics differ from "
                  "shards=1\n",
-                 mode_name(mode));
+                 raa::mem::to_string(mode));
     return false;
   }
   if (check_replay) {
@@ -126,7 +122,7 @@ bool selfcheck_mode(const SystemConfig& cfg, HierarchyMode mode,
       std::fprintf(stderr,
                    "selfcheck FAILED (%s): trace replay metrics differ "
                    "from the recorded run\n",
-                   mode_name(mode));
+                   raa::mem::to_string(mode));
       return false;
     }
   }
@@ -370,8 +366,8 @@ int main(int argc, char** argv) try {
     raa::Table t{{"mode", "cycles", "energy pJ", "noc flit-hops",
                   "accesses"}};
     for (std::size_t i = 0; i < modes.size(); ++i)
-      t.row(mode_name(modes[i]), results[i].cycles, results[i].energy_pj(),
-            results[i].noc_flit_hops,
+      t.row(raa::mem::to_string(modes[i]), results[i].cycles,
+            results[i].energy_pj(), results[i].noc_flit_hops,
             static_cast<unsigned long>(results[i].accesses));
     t.print(std::cout);
     if (modes.size() == 2) {
@@ -413,11 +409,11 @@ int main(int argc, char** argv) try {
       b.set_param("seed", std::to_string(scenario.seed));
     } else {
       b.set_param("trace", replay_path);
-      b.set_param("mode", mode_name(modes[0]));
+      b.set_param("mode", raa::mem::to_string(modes[0]));
     }
     for (std::size_t i = 0; i < modes.size(); ++i)
       raa::fleet::record_metrics(
-          b, std::string{mode_name(modes[i])} + "/", results[i]);
+          b, std::string{raa::mem::to_string(modes[i])} + "/", results[i]);
     if (modes.size() == 2) {
       b.record("time_x", results[0].cycles / results[1].cycles, "x");
       b.record("energy_x", results[0].energy_pj() / results[1].energy_pj(),
