@@ -50,8 +50,10 @@ struct Context {
   double sim_accesses = 0;        ///< see add_accesses()
   double sim_tasks = 0;           ///< see add_tasks()
   /// The harness pool when --jobs > 1, else null. Bench bodies may run
-  /// *independent* sub-units on it (e.g. the cache_only/hybrid halves of
-  /// a run_comparison); results must not depend on completion order.
+  /// *independent* sub-units on it through ordered_reduce (e.g. the
+  /// cache_only/hybrid halves of a run_comparison); results must not
+  /// depend on completion order. Sharded System runs never use it: each
+  /// owns a private producer pool.
   exec::Pool* pool = nullptr;
   bool quiet = false;  ///< parallel run: suppress table printing
   /// Set when --seed=N was passed; benchmark bodies read it through

@@ -1,23 +1,16 @@
 #pragma once
 /// \file parallel.hpp
-/// Structured-parallelism primitives over exec::Pool.
+/// ordered_reduce over exec::Pool: fan out n independent tasks and merge
+/// their results on the *calling thread, strictly in submission order*,
+/// regardless of the order in which they complete. This is what keeps
+/// every parallel consumer in the repo deterministic: bench --jobs merges
+/// scenario reports in registration order, run_comparison assigns the
+/// cache_only/hybrid halves by index, never by finishing time.
 ///
-///  * parallel_for — chunked index-range fan-out with a joining wait; the
-///    exception of the lowest-index failed chunk propagates.
-///  * ordered_reduce — fan out n independent tasks and merge their results
-///    on the *calling thread, strictly in submission order*, regardless of
-///    the order in which they complete. This is what keeps every parallel
-///    consumer in the repo deterministic: bench --jobs merges scenario
-///    reports in registration order, run_comparison assigns the
-///    cache_only/hybrid halves by index, never by finishing time.
-///
-/// Both entry points help-run queued tasks while waiting (see pool.hpp),
-/// so they compose: a parallel_for body may call ordered_reduce on the
-/// same pool.
+/// The merge wait help-runs the reduce's own queued tasks (see pool.hpp),
+/// so a task may itself call ordered_reduce on the same pool.
 
 #include <cstddef>
-#include <exception>
-#include <functional>
 #include <mutex>
 #include <optional>
 #include <utility>
@@ -26,14 +19,6 @@
 #include "exec/pool.hpp"
 
 namespace raa::exec {
-
-/// Split [begin, end) into chunks of at most `grain` indices, run
-/// body(lo, hi) for each chunk across the pool (the caller helps), and
-/// return when all chunks finished. If chunks threw, rethrows the
-/// exception of the lowest-index chunk.
-void parallel_for(Pool& pool, std::size_t begin, std::size_t end,
-                  std::size_t grain,
-                  const std::function<void(std::size_t, std::size_t)>& body);
 
 /// Run task(0..n-1) across the pool and call merge(i, result_i) on the
 /// calling thread in index order. merge(i) runs as soon as result i is
@@ -68,12 +53,10 @@ void ordered_reduce(Pool& pool, std::size_t n, TaskFn&& task, MergeFn&& merge) {
     });
   }
   for (std::size_t i = 0; i < n; ++i) {
-    pool.help_while(
-        [&] {
-          const std::scoped_lock lock{mutex};
-          return !slots[i].done;
-        },
-        &group);
+    pool.help_while(group, [&] {
+      const std::scoped_lock lock{mutex};
+      return !slots[i].done;
+    });
     std::optional<R> value;
     {
       const std::scoped_lock lock{mutex};

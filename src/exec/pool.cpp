@@ -9,9 +9,10 @@ namespace raa::exec {
 
 Pool::Pool(unsigned workers) {
   try {
-    workers_.start(workers, [this](std::stop_token stop, unsigned) {
-      worker_loop(stop);
-    });
+    workers_.reserve(workers);
+    for (unsigned i = 0; i < workers; ++i)
+      workers_.emplace_back(
+          [this](std::stop_token stop) { worker_loop(stop); });
   } catch (...) {
     // Thread exhaustion mid-spawn: wake and join the workers that did
     // start (their CV predicate is only re-evaluated on notify, so the
@@ -26,9 +27,9 @@ void Pool::shutdown_workers() {
     const std::scoped_lock lock{mutex_};
     stopping_ = true;
   }
-  workers_.request_stop();
+  for (auto& t : workers_) t.request_stop();
   cv_.notify_all();
-  workers_.join();
+  workers_.clear();  // jthread destructors join
 }
 
 Pool::~Pool() {
@@ -93,8 +94,8 @@ void Pool::worker_loop(std::stop_token stop) {
   }
 }
 
-void Pool::help_while(const std::function<bool()>& not_ready,
-                      const Group* only) {
+void Pool::help_while(const Group& g,
+                      const std::function<bool()>& not_ready) {
   for (;;) {
     std::uint64_t seen;
     {
@@ -104,7 +105,7 @@ void Pool::help_while(const std::function<bool()>& not_ready,
     // Predicate runs with no pool lock held: it may take external locks
     // (the sharded simulator checks per-core channel state here).
     if (!not_ready()) return;
-    if (run_one(only)) continue;
+    if (run_one(&g)) continue;
     std::unique_lock lock{mutex_};
     // Any enqueue/completion since `seen` was captured re-tests the
     // predicate instead of sleeping through its flip.
@@ -132,37 +133,11 @@ void Pool::wait(Group& g) {
 }
 
 std::exception_ptr Pool::wait_collect(Group& g) {
-  help_while(
-      [&] {
-        const std::scoped_lock lock{mutex_};
-        return g.finished < g.submitted;
-      },
-      &g);
+  help_while(g, [&] {
+    const std::scoped_lock lock{mutex_};
+    return g.finished < g.submitted;
+  });
   return take_error(g);
-}
-
-bool Pool::wait_for(Group& g, std::chrono::nanoseconds timeout) {
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  for (;;) {
-    bool done;
-    std::uint64_t seen;
-    {
-      const std::scoped_lock lock{mutex_};
-      done = g.finished >= g.submitted;
-      seen = epoch_;
-    }
-    if (done) break;
-    if (std::chrono::steady_clock::now() >= deadline) return false;
-    if (run_one(&g)) continue;
-    std::unique_lock lock{mutex_};
-    // Same missed-wakeup guard as help_while: any enqueue/completion since
-    // `seen` re-tests the group instead of sleeping through its finish.
-    if (!cv_.wait_until(lock, deadline, [&] { return epoch_ != seen; }))
-      return false;
-  }
-  if (std::exception_ptr error = take_error(g))
-    std::rethrow_exception(error);
-  return true;
 }
 
 }  // namespace raa::exec

@@ -1,25 +1,28 @@
 #pragma once
 /// \file pool.hpp
-/// Bounded task-queue executor: the reusable parallel-execution substrate
-/// under the sharded memory simulator (memsim/system.cpp) and the bench
-/// harness's --jobs fan-out.
+/// Bounded task-queue executor with group-restricted helping waits. Three
+/// callers: the sharded memory simulator's producer lanes (ShardSource in
+/// memsim/system.cpp, one private pool per sharded run), ordered_reduce
+/// (exec/parallel.hpp: bench --jobs lanes and run_comparison's concurrent
+/// halves) and the fleet coordinator's job lanes (fleet/fleet.cpp).
 ///
 /// Design points that the layers above rely on:
-///  * Work-helping waits. Any thread blocked in wait()/help_while() pops
-///    and runs queued tasks itself — restricted to the group it is
-///    waiting on, so a waiter makes progress on exactly the work it
-///    needs and never executes unrelated tasks inside its own timing
-///    window. A Pool with zero worker threads is therefore a valid
-///    (deterministic, inline) executor, and a task may submit subtasks
-///    to its own pool and wait on them without risking worker starvation
-///    deadlock.
+///  * Group-restricted helping. Any thread blocked in wait()/help_while()
+///    pops and runs queued tasks of the group it is waiting on, and only
+///    those: a waiter makes progress on exactly the work it needs and
+///    never executes unrelated tasks inside its own timing window. A Pool
+///    with zero worker threads is therefore a valid (deterministic,
+///    inline) executor, and a task may submit subtasks to its own pool
+///    and wait on them without risking worker starvation deadlock. This
+///    filtered pop is why the pool is a mutexed deque rather than a
+///    Chase–Lev deque (exec/wsq.hpp), which offers only owner-pop and
+///    thief-steal at its two ends.
 ///  * Deterministic failure reporting. Every task carries its submission
 ///    index within its Group; wait() rethrows the exception of the
 ///    *lowest-index* failed task, independent of completion order.
 ///  * Reuse. Groups reset on wait(); a pool is submitted to repeatedly
-///    over its lifetime (every System::run, every bench unit).
+///    over its lifetime (every bench unit, every fleet attempt).
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -27,8 +30,9 @@
 #include <exception>
 #include <functional>
 #include <mutex>
-
-#include "exec/worker_pool.hpp"
+#include <stop_token>
+#include <thread>
+#include <vector>
 
 namespace raa::exec {
 
@@ -54,7 +58,7 @@ class Pool {
   };
 
   /// Spawns `workers` threads. 0 is valid: every task then runs inline in
-  /// some thread's wait()/help_while().
+  /// the waiting thread's wait()/help_while().
   explicit Pool(unsigned workers);
 
   /// Joins the workers. Tasks still queued — possible only when a Group
@@ -64,8 +68,6 @@ class Pool {
 
   Pool(const Pool&) = delete;
   Pool& operator=(const Pool&) = delete;
-
-  unsigned workers() const noexcept { return workers_.size(); }
 
   /// Enqueue `fn` under `g`. Runs on a worker or inside a helping wait;
   /// may be called from inside a task (nested submission).
@@ -84,30 +86,16 @@ class Pool {
   /// cancellation paths that are already unwinding). Resets `g`.
   std::exception_ptr wait_collect(Group& g);
 
-  /// Deadline-aware wait(): like wait(), but gives up once `timeout` has
-  /// elapsed. Returns true when every task of `g` finished (then resets
-  /// `g` and rethrows the lowest-index error exactly like wait()); false
-  /// on expiry, leaving `g` *unreset* — the caller may keep working and
-  /// wait()/wait_for() the same group again later. Helping is
-  /// group-restricted as in wait(), and the deadline is only observed
-  /// between helped tasks: on a zero-worker pool a single long task can
-  /// overshoot it, so deadline supervisors (the fleet watchdog) should
-  /// run on a pool with workers >= 1 and pair the expiry with cooperative
-  /// cancellation of the task itself.
-  bool wait_for(Group& g, std::chrono::nanoseconds timeout);
-
   /// True once any task of `g` has finished with an exception.
   bool failed(const Group& g) const;
 
-  /// Help-run queued tasks while `not_ready()` returns true. Between
-  /// tasks the predicate is re-evaluated with no pool lock held (it may
-  /// take its own locks); when no runnable task is queued the caller
-  /// sleeps until any task is enqueued or finishes. With `only` set,
-  /// helping is restricted to that group's tasks (see wait()). The
-  /// condition must be flipped by a task of this pool (or already be
-  /// false), else this never returns.
-  void help_while(const std::function<bool()>& not_ready,
-                  const Group* only = nullptr);
+  /// Help-run queued tasks of `g` while `not_ready()` returns true.
+  /// Between tasks the predicate is re-evaluated with no pool lock held
+  /// (it may take its own locks); when no task of `g` is queued the caller
+  /// sleeps until any task is enqueued or finishes. The condition must be
+  /// flipped by a task of this pool (or already be false), else this
+  /// never returns.
+  void help_while(const Group& g, const std::function<bool()>& not_ready);
 
  private:
   struct Task {
@@ -131,7 +119,7 @@ class Pool {
   /// missed wakeups between predicate check and sleep.
   std::uint64_t epoch_ = 0;
   bool stopping_ = false;
-  WorkerPool workers_;
+  std::vector<std::jthread> workers_;
 };
 
 }  // namespace raa::exec

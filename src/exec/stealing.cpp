@@ -20,13 +20,15 @@ thread_local unsigned t_worker = 0;
 /// parking is cheap (one mutex + condvar) and the single-hardware-thread
 /// CI container punishes spinning hard.
 constexpr int kYieldRounds = 16;
+
+/// Full victim sweeps in one steal attempt before giving up.
+constexpr unsigned kStealRounds = 2;
 }  // namespace
 
 StealingExecutor::StealingExecutor(Options options, RunFn run, PollFn poll)
     : options_(options), run_(std::move(run)), poll_(std::move(poll)) {
   RAA_CHECK(run_ != nullptr);
   const unsigned n = options_.num_workers;
-  if (options_.steal_rounds == 0) options_.steal_rounds = 1;
   deques_.reserve(n);
   rng_.reserve(n);
   std::uint64_t sm = options_.seed;
@@ -43,15 +45,14 @@ StealingExecutor::StealingExecutor(Options options, RunFn run, PollFn poll)
   obs_token_ = obs::Registry::instance().attach_external(
       "exec.steals", [this] { return steal_count(); });
   try {
-    pool_.start(n, [this](std::stop_token stop, unsigned w) {
-      worker_loop(stop, w);
-    });
+    workers_.reserve(n);
+    for (unsigned w = 0; w < n; ++w)
+      workers_.emplace_back(
+          [this, w](std::stop_token stop) { worker_loop(stop, w); });
   } catch (...) {
-    // Thread exhaustion mid-start: wake the workers that did start so
-    // their parked commit_wait observes the stop, then join.
-    pool_.request_stop();
-    notifier_.notify_all();
-    pool_.join();
+    // Thread exhaustion mid-start: detach the gauge and stop, wake and
+    // join the workers that did start (no destructor runs for us).
+    shutdown();
     throw;
   }
 }
@@ -64,9 +65,9 @@ void StealingExecutor::shutdown() {
     obs::Registry::instance().detach_external(obs_token_);
     obs_token_ = 0;
   }
-  pool_.request_stop();
+  for (auto& t : workers_) t.request_stop();
   notifier_.notify_all();
-  pool_.join();
+  workers_.clear();  // jthread destructors join
 }
 
 unsigned StealingExecutor::current_worker() const noexcept {
@@ -114,7 +115,7 @@ void* StealingExecutor::steal_sweep(unsigned self) {
   // Victim space: the n worker deques plus the injection queue as victim
   // index n (stolen FIFO — oldest external submission first).
   const unsigned victims = n + 1;
-  for (unsigned round = 0; round < options_.steal_rounds; ++round) {
+  for (unsigned round = 0; round < kStealRounds; ++round) {
     // Randomized start breaks convoys. Workers draw from their own
     // deterministic stream; external threads share a rotating counter
     // (their victim order is not part of any determinism contract).

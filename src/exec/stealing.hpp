@@ -24,10 +24,11 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <stop_token>
+#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "exec/worker_pool.hpp"
 #include "exec/wsq.hpp"
 
 namespace raa::exec {
@@ -118,7 +119,6 @@ class StealingExecutor {
   struct Options {
     unsigned num_workers = 0;
     std::uint64_t seed = 1;       ///< per-worker victim RNGs derive from it
-    unsigned steal_rounds = 2;    ///< full victim sweeps before giving up
   };
 
   StealingExecutor(Options options, RunFn run, PollFn poll = nullptr);
@@ -191,7 +191,8 @@ class StealingExecutor {
   std::uint64_t obs_token_ = 0;  ///< registry external-gauge handle
 
   Notifier notifier_;
-  WorkerPool pool_;  ///< last member: threads die before the state above
+  /// Last member: threads die before the state above.
+  std::vector<std::jthread> workers_;
 };
 
 }  // namespace raa::exec

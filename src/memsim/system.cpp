@@ -5,7 +5,6 @@
 #include <bit>
 #include <limits>
 #include <mutex>
-#include <optional>
 #include <span>
 
 #include "exec/parallel.hpp"
@@ -853,14 +852,13 @@ struct ShardChannel {
 /// adopts the following generation, helping the pool while it waits.
 class ShardSource {
  public:
-  ShardSource(Workload& workload, unsigned tiles, unsigned shards,
-              exec::Pool* pool)
+  ShardSource(Workload& workload, unsigned tiles, unsigned shards)
       : workload_(workload),
         channels_(tiles),
-        // A private pool contributes shards - 1 producer threads; the
+        // The private pool contributes shards - 1 producer threads; the
         // commit thread is the remaining lane (it helps run fills while it
         // waits).
-        pool_(pool != nullptr ? pool : &own_pool_.emplace(shards - 1)) {
+        pool_(shards - 1) {
     for (unsigned core = 0; core < tiles; ++core) submit(core);
   }
   // Producer tasks hold `this`.
@@ -886,13 +884,11 @@ class ShardSource {
     // Adopt the next generation (helping the pool while it is not ready;
     // a failed producer also ends the wait — see drive()).
     const unsigned slot = ch.gen & 1;
-    pool_->help_while(
-        [&] {
-          if (pool_->failed(group_)) return false;
-          const std::scoped_lock lock{ch.m};
-          return !ch.ready[slot];
-        },
-        &group_);
+    pool_.help_while(group_, [&] {
+      if (pool_.failed(group_)) return false;
+      const std::scoped_lock lock{ch.m};
+      return !ch.ready[slot];
+    });
     unsigned count = 0;
     {
       const std::scoped_lock lock{ch.m};
@@ -913,16 +909,16 @@ class ShardSource {
       commit();
     } catch (...) {
       cancel_.store(true, std::memory_order_relaxed);
-      if (std::exception_ptr err = pool_->wait_collect(group_))
+      if (std::exception_ptr err = pool_.wait_collect(group_))
         std::rethrow_exception(err);
       throw;
     }
-    pool_->wait(group_);
+    pool_.wait(group_);
   }
 
  private:
   void submit(unsigned core) {
-    pool_->submit(group_, [this, core] { produce(core); });
+    pool_.submit(group_, [this, core] { produce(core); });
   }
 
   /// Producer lane for one generation of one core: fill the slot, publish
@@ -962,10 +958,9 @@ class ShardSource {
 
   Workload& workload_;
   std::vector<ShardChannel> channels_;
-  std::optional<exec::Pool> own_pool_;  // declared before pool_ (init order)
-  exec::Pool* pool_;
   exec::Pool::Group group_;
   std::atomic<bool> cancel_{false};
+  exec::Pool pool_;  ///< last member: workers join before the state above
 };
 
 }  // namespace
@@ -1004,7 +999,7 @@ Metrics System::run(Workload& workload, const RunOptions& options) {
   begin_run(workload);
   const unsigned shards =
       std::clamp(options.shards, 1u, std::max(1u, cfg_.tiles));
-  if (shards <= 1 && options.pool == nullptr) {
+  if (shards <= 1) {
     // Inline source: fill() on the commit thread, no lock, no pool call.
     std::vector<std::array<Access, kInlineBatch>> bufs(cfg_.tiles);
     commit([&](unsigned core) {
@@ -1013,7 +1008,7 @@ Metrics System::run(Workload& workload, const RunOptions& options) {
           buf.data(), workload.programs[core]->fill(buf)};
     });
   } else {
-    ShardSource source{workload, cfg_.tiles, shards, options.pool};
+    ShardSource source{workload, cfg_.tiles, shards};
     source.drive(
         [&] { commit([&](unsigned core) { return source.next(core); }); });
   }
@@ -1026,7 +1021,7 @@ ComparisonResult run_comparison(const SystemConfig& config,
   const auto half = [&](HierarchyMode mode) {
     Workload w = make_workload();
     System sys{config, mode};
-    return sys.run(w, RunOptions{options.shards, options.pool});
+    return sys.run(w, RunOptions{.shards = options.shards});
   };
   ComparisonResult result;
   if (options.pool == nullptr) {

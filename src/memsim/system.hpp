@@ -60,23 +60,20 @@ class Pool;
 namespace raa::mem {
 
 /// Execution options for System::run. The simulated outcome is a pure
-/// function of the workload: *any* shards/pool combination produces
-/// Metrics field-identical to the serial interleave (the ShardEquivalence
-/// suite pins this). Sharding decouples the access-stream front end —
+/// function of the workload: *any* shard count produces Metrics
+/// field-identical to the serial interleave (the ShardEquivalence suite
+/// pins this). Sharding decouples the access-stream front end —
 /// CoreProgram::fill batch generation into per-core double-buffered
 /// channels — onto concurrent producer lanes, while the protocol commit
 /// loop consumes the channels in the exact serial interleave order, so
 /// every shared-state transition (L2 banks, directory, line values,
 /// version/tag counters, metrics) happens in the identical sequence.
 struct RunOptions {
-  /// Concurrent front-end lanes. 1 with no pool = the serial engine:
-  /// fills run inline on the commit thread, with no lock or pool call.
+  /// Concurrent front-end lanes. 1 = the serial engine: fills run inline
+  /// on the commit thread, with no lock or pool call. N > 1 runs the
+  /// producers on a private exec::Pool of N - 1 workers; the committing
+  /// thread is the remaining lane.
   unsigned shards = 1;
-  /// Pool to run the shard producers on. Null with shards > 1 spawns a
-  /// private pool of shards - 1 workers (the committing thread is the
-  /// remaining lane). An external pool may have any worker count — even
-  /// zero: fills then run inline inside the commit loop's helping wait.
-  exec::Pool* pool = nullptr;
 };
 
 /// See file comment.
@@ -273,7 +270,8 @@ struct ComparisonResult {
 
 /// Options for run_comparison.
 struct ComparisonOptions {
-  /// Forwarded to each half's System::run (front-end sharding).
+  /// Forwarded to each half's System::run (front-end sharding; a sharded
+  /// half owns its own producer pool, independent of `pool`).
   unsigned shards = 1;
   /// When set, the two halves — independent System instances over
   /// independently built workloads — run concurrently on this pool, with

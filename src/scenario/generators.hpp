@@ -78,8 +78,9 @@ class ZipfProgram final : public GenProgram {
 // --- pointer chase --------------------------------------------------------
 
 /// Largest pointer-chase slice, in elements. The walk materialises its
-/// successor permutation as 32-bit indices: 256 MiB at this limit. The
-/// scenario parser rejects larger slices before anything is allocated.
+/// successor permutation as 32-bit indices: 256 MiB at this limit. Each
+/// core builds its own, so the scenario parser caps the total over every
+/// core of every pointer_chase program before anything is allocated.
 inline constexpr std::uint64_t kMaxPointerChaseElems = 1ull << 26;
 
 struct PointerChaseParams {

@@ -487,9 +487,11 @@ bool parse_cores(Ctx& c, const Value& obj, const std::string& path,
   return true;
 }
 
+/// `chase_elems` is the running total of pointer-chase elements over the
+/// programs parsed so far (see kMaxPointerChaseElems).
 bool parse_program(Ctx& c, const Value& v, const std::string& path,
                    const std::vector<RegionSpec>& regions, unsigned tiles,
-                   ProgramSpec& p) {
+                   std::uint64_t& chase_elems, ProgramSpec& p) {
   if (!v.is_object()) return c.fail(path, "expected an object");
   std::string gen;
   if (!req(c, v, path, "generator", to_str, gen)) return false;
@@ -570,12 +572,18 @@ bool parse_program(Ctx& c, const Value& v, const std::string& path,
     const std::uint64_t elems =
         window_bytes(regions[p.region], p.per_core_slice, tiles) /
         p.elem_bytes;
-    if (elems > kMaxPointerChaseElems)
+    // Every core materialises its own cycle: the limit caps the total
+    // over all cores of all pointer_chase programs.
+    const std::uint64_t cores = p.cores.empty() ? tiles : p.cores.size();
+    if (elems > (kMaxPointerChaseElems - chase_elems) / cores)
       return c.fail(path, "region '" + regions[p.region].name +
                               "' window too large for a pointer chase: " +
-                              std::to_string(elems) + " elements exceed the " +
+                              std::to_string(elems) + " elements x " +
+                              std::to_string(cores) + " cores exceed the " +
                               std::to_string(kMaxPointerChaseElems) +
-                              "-element limit");
+                              "-element limit on all chases together (" +
+                              std::to_string(chase_elems) + " already used)");
+    chase_elems += elems * cores;
     return true;
   }
   if (gen == "stencil") {
@@ -741,11 +749,12 @@ std::optional<Scenario> Scenario::parse(const json::Value& doc,
     c.fail(root + ".programs", "expected a non-empty array");
     return std::nullopt;
   }
+  std::uint64_t chase_elems = 0;
   for (std::size_t i = 0; i < pv->as_array().size(); ++i) {
     ProgramSpec p;
     if (!parse_program(c, pv->as_array()[i],
                        root + ".programs[" + std::to_string(i) + "]",
-                       s.regions, s.config.tiles, p))
+                       s.regions, s.config.tiles, chase_elems, p))
       return std::nullopt;
     s.programs.push_back(std::move(p));
   }

@@ -1,44 +1,23 @@
-// Tests of the parallel-execution substrate (src/exec/): worker lifecycle,
-// the task pool's work-helping waits and deterministic failure reporting,
-// parallel_for, and — most load-bearing — ordered_reduce's submission-order
-// merge under adversarial completion order (the property every parallel
-// consumer in the repo leans on for determinism).
+// Tests of the task pool (src/exec/pool.hpp): its work-helping waits and
+// deterministic failure reporting, and — most load-bearing —
+// ordered_reduce's submission-order merge under adversarial completion
+// order (the property every parallel consumer in the repo leans on for
+// determinism).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstddef>
-#include <numeric>
 #include <stdexcept>
-#include <string>
 #include <thread>
 #include <vector>
 
 #include "exec/parallel.hpp"
 #include "exec/pool.hpp"
-#include "exec/worker_pool.hpp"
 
 namespace {
 
 using raa::exec::Pool;
-using raa::exec::WorkerPool;
-
-TEST(WorkerPool, RunsLoopPerThreadAndJoins) {
-  std::atomic<unsigned> started{0};
-  WorkerPool wp;
-  wp.start(3, [&](std::stop_token stop, unsigned) {
-    started.fetch_add(1);
-    while (!stop.stop_requested())
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  });
-  EXPECT_EQ(wp.size(), 3u);
-  wp.join();
-  EXPECT_EQ(started.load(), 3u);
-  EXPECT_EQ(wp.size(), 0u);
-  // Restartable after join.
-  wp.start(1, [](std::stop_token, unsigned) {});
-  wp.join();
-}
 
 TEST(PoolTest, RunsSubmittedTasks) {
   Pool pool{2};
@@ -93,53 +72,41 @@ TEST(PoolTest, ReuseAcrossRuns) {
   EXPECT_EQ(total, 20 * 32);
 }
 
-TEST(ParallelFor, CoversRangeExactlyOnce) {
-  Pool pool{3};
-  std::vector<std::atomic<int>> hits(1000);
-  raa::exec::parallel_for(pool, 0, 1000, 7, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelFor, EmptyRangeIsANoOp) {
-  Pool pool{1};
-  raa::exec::parallel_for(pool, 5, 5, 4,
-                          [](std::size_t, std::size_t) { FAIL(); });
-}
-
-TEST(ParallelFor, ExceptionPropagatesAndPoolStaysUsable) {
+TEST(PoolTest, ExceptionPropagatesAndPoolStaysUsable) {
   Pool pool{2};
   std::atomic<int> ran{0};
-  EXPECT_THROW(
-      raa::exec::parallel_for(pool, 0, 100, 10,
-                              [&](std::size_t lo, std::size_t) {
-                                ran.fetch_add(1);
-                                if (lo == 50) throw std::runtime_error("boom");
-                              }),
-      std::runtime_error);
-  // Every chunk still ran (failures do not cancel siblings)...
+  Pool::Group g;
+  for (int i = 0; i < 10; ++i)
+    pool.submit(g, [&ran, i] {
+      ran.fetch_add(1);
+      if (i == 5) throw std::runtime_error("boom");
+    });
+  EXPECT_THROW(pool.wait(g), std::runtime_error);
+  // Every task still ran (failures do not cancel siblings)...
   EXPECT_EQ(ran.load(), 10);
-  // ...and the pool is reusable afterwards.
+  // ...and the pool and the reset group are reusable afterwards.
   std::atomic<int> after{0};
-  raa::exec::parallel_for(pool, 0, 10, 1,
-                          [&](std::size_t, std::size_t) { after.fetch_add(1); });
+  for (int i = 0; i < 10; ++i) pool.submit(g, [&after] { after.fetch_add(1); });
+  pool.wait(g);
   EXPECT_EQ(after.load(), 10);
 }
 
-TEST(ParallelFor, LowestIndexExceptionWins) {
-  // Two chunks fail; the lower submission index is reported regardless of
+TEST(PoolTest, LowestIndexExceptionWins) {
+  // Two tasks fail; the lower submission index is reported regardless of
   // which failure was *observed* first.
   Pool pool{4};
   for (int attempt = 0; attempt < 10; ++attempt) {
-    try {
-      raa::exec::parallel_for(pool, 0, 8, 1, [&](std::size_t lo, std::size_t) {
-        if (lo == 2) {
+    Pool::Group g;
+    for (int i = 0; i < 8; ++i)
+      pool.submit(g, [i] {
+        if (i == 2) {
           std::this_thread::sleep_for(std::chrono::milliseconds(3));
           throw std::runtime_error("early-index, late-finishing");
         }
-        if (lo == 6) throw std::runtime_error("late-index, fast-failing");
+        if (i == 6) throw std::runtime_error("late-index, fast-failing");
       });
+    try {
+      pool.wait(g);
       FAIL() << "expected a throw";
     } catch (const std::runtime_error& e) {
       EXPECT_STREQ(e.what(), "early-index, late-finishing");
@@ -196,63 +163,6 @@ TEST(OrderedReduce, WorksOnZeroWorkerPool) {
   EXPECT_EQ(sum, 4950);
 }
 
-TEST(PoolWaitFor, ZeroWorkerPoolHelpsInlineAndResetsGroup) {
-  // On a zero-worker pool the waiter itself must run every queued task,
-  // so a generous deadline behaves exactly like wait(): true, group reset
-  // and reusable.
-  Pool pool{0};
-  std::atomic<int> ran{0};
-  Pool::Group g;
-  for (int i = 0; i < 8; ++i) pool.submit(g, [&ran] { ++ran; });
-  EXPECT_TRUE(pool.wait_for(g, std::chrono::seconds(30)));
-  EXPECT_EQ(ran.load(), 8);
-  pool.submit(g, [&ran] { ++ran; });  // reset group is reusable
-  EXPECT_TRUE(pool.wait_for(g, std::chrono::seconds(30)));
-  EXPECT_EQ(ran.load(), 9);
-}
-
-TEST(PoolWaitFor, ExpiresOnStuckTaskThenCompletesAfterRelease) {
-  // A task pinned on a flag must make wait_for return false at the
-  // deadline without resetting the group; once the flag is released the
-  // same group completes under a plain wait(). The waiter must not call
-  // wait_for until the *worker* has adopted the task: a helping waiter
-  // that dequeued it itself would run the pinned loop inline and never
-  // reach its own deadline check.
-  Pool pool{1};
-  std::atomic<bool> started{false};
-  std::atomic<bool> release{false};
-  std::atomic<bool> ran{false};
-  Pool::Group g;
-  pool.submit(g, [&] {
-    started = true;
-    while (!release.load()) std::this_thread::sleep_for(
-        std::chrono::milliseconds(1));
-    ran = true;
-  });
-  while (!started.load())
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  EXPECT_FALSE(pool.wait_for(g, std::chrono::milliseconds(50)));
-  EXPECT_FALSE(ran.load());
-  release = true;
-  pool.wait(g);
-  EXPECT_TRUE(ran.load());
-}
-
-TEST(PoolWaitFor, RethrowsLowestIndexErrorOnCompletion) {
-  // Deadline met -> identical error contract to wait(): the
-  // lowest-submission-index exception wins regardless of finish order.
-  Pool pool{0};
-  Pool::Group g;
-  pool.submit(g, [] { throw std::runtime_error("first"); });
-  pool.submit(g, [] { throw std::runtime_error("second"); });
-  try {
-    (void)pool.wait_for(g, std::chrono::seconds(30));
-    FAIL() << "expected the first task's exception";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "first");
-  }
-}
-
 TEST(PoolShutdown, DropsPendingTasksOnZeroWorkerPool) {
   // Destroying a pool with tasks still queued (a violated Group contract)
   // must drop them unrun — deterministically observable on a zero-worker
@@ -291,7 +201,7 @@ TEST(PoolTest, HelpWhileRunsTasksUntilConditionFlips) {
   bool ready = false;
   Pool::Group g;
   pool.submit(g, [&ready] { ready = true; });
-  pool.help_while([&] { return !ready; });
+  pool.help_while(g, [&] { return !ready; });
   EXPECT_TRUE(ready);
   pool.wait(g);
 }

@@ -6,8 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
+#include <mutex>
 #include <set>
+#include <span>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -610,7 +615,7 @@ TEST(MetricsFields, VisitorCoversEveryFieldOnce) {
 // --- sharded vs serial equivalence -------------------------------------
 //
 // System::run has one commit loop and two batch sources: the inline source
-// (shards = 1, no pool) calls fill() on the commit thread; the shard source
+// (shards = 1) calls fill() on the commit thread; the shard source
 // adopts batches that concurrent producer lanes generated ahead. These
 // tests pin the contract that the Metrics are *field-identical* under both
 // sources for any shard count — which proves determinism even on hosts
@@ -680,34 +685,17 @@ TEST_P(ShardEquivalence, ShardedRunMatchesSerialInterleave) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ShardEquivalence,
                          ::testing::Values(13, 29, 61, 127, 251));
 
-TEST(ShardedRun, ExternalZeroWorkerPoolRunsInline) {
-  // An external pool with no workers degrades to inline fills inside the
-  // commit loop's helping wait — the fully deterministic fallback.
-  const SystemConfig cfg = small_cfg();
-  auto ws = mixed_workload(cfg, 7);
-  auto wp = mixed_workload(cfg, 7);
-  System serial{cfg, HierarchyMode::hybrid};
-  System sharded{cfg, HierarchyMode::hybrid};
-  raa::exec::Pool pool{0};
-  const Metrics a = serial.run(ws);
-  const Metrics b =
-      sharded.run(wp, raa::mem::RunOptions{.shards = 4, .pool = &pool});
-  expect_metrics_equal(a, b);
-}
-
 TEST(ShardedRun, SystemAndPoolReuseAcrossRuns) {
   // Back-to-back runs on one System carry cache/DRAM state forward; the
   // sharded engine must match the serial engine's carried state exactly.
   const SystemConfig cfg = small_cfg();
   System serial{cfg, HierarchyMode::hybrid};
   System sharded{cfg, HierarchyMode::hybrid};
-  raa::exec::Pool pool{2};
   for (const std::uint64_t seed : {3u, 5u, 9u}) {
     auto ws = mixed_workload(cfg, seed);
     auto wp = mixed_workload(cfg, seed);
     const Metrics a = serial.run(ws);
-    const Metrics b =
-        sharded.run(wp, raa::mem::RunOptions{.shards = 4, .pool = &pool});
+    const Metrics b = sharded.run(wp, raa::mem::RunOptions{.shards = 4});
     expect_metrics_equal(a, b);
   }
 }
@@ -721,6 +709,79 @@ TEST(ShardedRun, ComparisonHalvesIndependentOfPool) {
       cfg, make, raa::mem::ComparisonOptions{.shards = 2, .pool = &pool});
   expect_metrics_equal(serial.cache_only, parallel.cache_only);
   expect_metrics_equal(serial.hybrid, parallel.hybrid);
+}
+
+/// Thrown by ProbeProgram; distinct from CheckError on purpose.
+struct ProducerFailure : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// Forwards to `inner`, recording the thread of every fill() into `threads`
+/// and throwing ProducerFailure from fill() number `throw_on` (0: never).
+class ProbeProgram final : public CoreProgram {
+ public:
+  using Threads = std::set<std::thread::id>;
+  ProbeProgram(std::unique_ptr<CoreProgram> inner,
+               std::shared_ptr<Threads> threads, unsigned throw_on = 0)
+      : inner_(std::move(inner)),
+        threads_(std::move(threads)),
+        throw_on_(throw_on) {}
+  bool next(Access& out) override { return inner_->next(out); }
+  std::size_t fill(std::span<Access> out) override {
+    threads_->insert(std::this_thread::get_id());
+    if (++fills_ == throw_on_) throw ProducerFailure{"probe fill failed"};
+    return inner_->fill(out);
+  }
+
+ private:
+  std::unique_ptr<CoreProgram> inner_;
+  std::shared_ptr<Threads> threads_;
+  unsigned throw_on_;
+  unsigned fills_ = 0;
+};
+
+TEST(ShardedRun, ProducerFailurePropagates) {
+  // A fill() that throws on a producer lane must surface as itself, not
+  // as the commit loop's "shard producer failed" reaction to it: the
+  // helping wait exits on failed() and drive() rethrows the producer's
+  // error first.
+  const SystemConfig cfg = small_cfg();
+  for (const unsigned shards : {2u, 4u}) {
+    auto w = mixed_workload(cfg, 11);
+    w.programs[0] = std::make_unique<ProbeProgram>(
+        std::move(w.programs[0]), std::make_shared<ProbeProgram::Threads>(),
+        /*throw_on=*/3);
+    System sys{cfg, HierarchyMode::hybrid};
+    EXPECT_THROW(sys.run(w, raa::mem::RunOptions{.shards = shards}),
+                 ProducerFailure)
+        << shards << " shards";
+  }
+}
+
+TEST(ShardedRun, ComparisonPoolKeepsSingleShardInline) {
+  // A comparison pool runs the two halves concurrently, but a one-shard
+  // half must still use the inline source: every fill() of a program on
+  // the thread that runs its commit loop.
+  const SystemConfig cfg = small_cfg();
+  std::mutex mutex;  // make_workload runs on both halves' threads
+  std::vector<std::shared_ptr<ProbeProgram::Threads>> seen;
+  const auto make = [&] {
+    auto w = mixed_workload(cfg, 17);
+    for (auto& p : w.programs) {
+      auto threads = std::make_shared<ProbeProgram::Threads>();
+      {
+        const std::scoped_lock lock{mutex};
+        seen.push_back(threads);
+      }
+      p = std::make_unique<ProbeProgram>(std::move(p), threads);
+    }
+    return w;
+  };
+  raa::exec::Pool pool{2};
+  (void)raa::mem::run_comparison(
+      cfg, make, raa::mem::ComparisonOptions{.shards = 1, .pool = &pool});
+  ASSERT_EQ(seen.size(), 2u * cfg.tiles);
+  for (const auto& threads : seen) EXPECT_EQ(threads->size(), 1u);
 }
 
 TEST(ShardedRun, PropagatesProtocolViolations) {

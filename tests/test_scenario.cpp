@@ -366,6 +366,42 @@ TEST(ScenarioParse, RejectsOversizedPointerChaseSlice) {
       << err;
 }
 
+TEST(ScenarioParse, CapsPointerChaseElementsSummedOverCores) {
+  // Every core materialises its own successor table, so the limit caps
+  // elements x cores summed over all pointer_chase programs: 16 cores of
+  // 2^23 elements would each pass a per-core check, but together need
+  // twice the budget.
+  const auto parse = [](const std::string& programs, std::string* err) {
+    const std::string doc =
+        R"({"name": "t", "config": {"tiles": 16, "mesh_x": 4, "mesh_y": 4},
+          "regions": [{"name": "r", "bytes_per_core": )" +
+        std::to_string((std::uint64_t{1} << 23) * 8) +
+        R"(, "class": "random_noalias"}], "programs": [)" + programs + "]}";
+    const auto v = raa::json::Value::parse(doc, err);
+    EXPECT_TRUE(v.has_value()) << *err;
+    return v ? Scenario::parse(*v, err) : std::nullopt;
+  };
+  const auto chase = [](const std::string& cores) {
+    return R"({)" + cores + R"("generator": "pointer_chase", "region": "r",
+               "slice": "core", "accesses": 10})";
+  };
+  const std::string low = chase(R"("cores": [0, 1, 2, 3, 4, 5, 6, 7], )");
+  const std::string high =
+      chase(R"("cores": [8, 9, 10, 11, 12, 13, 14, 15], )");
+  std::string err;
+  // 8 cores x 2^23 elements is exactly the budget.
+  EXPECT_TRUE(parse(low, &err).has_value()) << err;
+  err.clear();
+  EXPECT_FALSE(parse(chase(""), &err).has_value());
+  EXPECT_NE(err.find("scenario.programs[0]"), std::string::npos) << err;
+  EXPECT_NE(err.find("too large for a pointer chase"), std::string::npos)
+      << err;
+  // Split over two programs, the second one crosses the cap.
+  err.clear();
+  EXPECT_FALSE(parse(low + ", " + high, &err).has_value());
+  EXPECT_NE(err.find("scenario.programs[1]"), std::string::npos) << err;
+}
+
 TEST(ScenarioParse, LoadFileReportsLineAndColumnForSyntaxErrors) {
   const std::string path = temp_path("bad_scenario.json");
   std::FILE* f = std::fopen(path.c_str(), "w");
