@@ -20,6 +20,10 @@
 ///
 /// Keep this list append-only: downstream scripts switch on the numbers.
 
+#include <array>
+
+#include "common/enum_names.hpp"
+
 namespace raa {
 
 enum ExitCode : int {
@@ -30,16 +34,15 @@ enum ExitCode : int {
   kExitPartialFleet = 4,
 };
 
+constexpr std::array<EnumName<ExitCode>, 5> enum_names(ExitCode) noexcept {
+  return {{{kExitOk, "ok"}, {kExitFailure, "failure"}, {kExitUsage, "usage"},
+           {kExitBadScenario, "bad-scenario"},
+           {kExitPartialFleet, "partial-fleet"}}};
+}
+
 /// Human-readable name for diagnostics and the fleet index.
 constexpr const char* to_string(ExitCode code) noexcept {
-  switch (code) {
-    case kExitOk: return "ok";
-    case kExitFailure: return "failure";
-    case kExitUsage: return "usage";
-    case kExitBadScenario: return "bad-scenario";
-    case kExitPartialFleet: return "partial-fleet";
-  }
-  return "unknown";
+  return enum_name(code);
 }
 
 }  // namespace raa

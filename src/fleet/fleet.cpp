@@ -54,8 +54,8 @@ FleetResult run_fleet(const FleetOptions& opt) {
     const JobSpec& job = man.jobs[i];
     const JobLimits eff =
         job.limits.or_else(man.defaults).or_else(opt.fallback);
-    settings[i].mode = eff.mode.value_or("");
-    settings[i].backend = eff.backend.value_or("");
+    settings[i].mode = eff.mode;
+    settings[i].backend = eff.backend;
     settings[i].shards = std::max(1u, eff.shards.value_or(1));
     settings[i].timeout_ms = eff.timeout_ms.value_or(0);
     settings[i].retries = eff.retries.value_or(0);
@@ -88,7 +88,7 @@ FleetResult run_fleet(const FleetOptions& opt) {
     res.records[i].id = man.jobs[i].id;
     res.records[i].input = man.jobs[i].trace.empty() ? man.jobs[i].scenario
                                                      : man.jobs[i].trace;
-    res.records[i].seed = settings[i].seed;
+    res.records[i].seed = *settings[i].seed;
   }
 
   const unsigned lanes = std::max(1u, opt.jobs);

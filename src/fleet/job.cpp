@@ -1,15 +1,9 @@
 #include "fleet/job.hpp"
 
-#include <functional>
-#include <memory>
 #include <type_traits>
-#include <utility>
-#include <vector>
 
 #include "common/check.hpp"
 #include "memsim/system.hpp"
-#include "scenario/scenario.hpp"
-#include "scenario/trace.hpp"
 
 namespace raa::fleet {
 
@@ -56,31 +50,6 @@ void wrap_cancellable(mem::Workload& w, const std::atomic<bool>& cancel) {
 
 }  // namespace
 
-const char* to_string(ErrorKind kind) noexcept {
-  switch (kind) {
-    case ErrorKind::none: return "none";
-    case ErrorKind::parse: return "parse";
-    case ErrorKind::degenerate: return "degenerate";
-    case ErrorKind::check: return "check";
-    case ErrorKind::io: return "io";
-    case ErrorKind::cancelled: return "cancelled";
-    case ErrorKind::injected: return "injected";
-    case ErrorKind::internal: return "internal";
-  }
-  return "unknown";
-}
-
-const char* to_string(JobStatus status) noexcept {
-  switch (status) {
-    case JobStatus::ok: return "ok";
-    case JobStatus::retried_ok: return "retried_ok";
-    case JobStatus::failed: return "failed";
-    case JobStatus::timeout: return "timeout";
-    case JobStatus::skipped: return "skipped";
-  }
-  return "unknown";
-}
-
 void record_metrics(report::BenchReport& b, const std::string& prefix,
                     const mem::Metrics& m) {
   b.record(prefix + "cycles", m.cycles, "cycles");
@@ -94,71 +63,89 @@ void record_metrics(report::BenchReport& b, const std::string& prefix,
       });
 }
 
+mem::Workload Input::make_workload() const {
+  return trace ? scen::make_replay_workload(trace) : scenario.instantiate();
+}
+
+Input load_input(const JobSpec& job, const JobSettings& settings) {
+  Input in;
+  std::string error;
+  if (!job.trace.empty()) {
+    auto t = scen::TraceData::read_file(job.trace, &error);
+    if (!t) throw JobError(ErrorKind::parse, error);
+    in.trace = std::make_shared<const scen::TraceData>(std::move(*t));
+    in.config = in.trace->config;
+    in.name = in.trace->name.empty() ? "replay" : in.trace->name;
+    mem::HierarchyMode mode = in.trace->mode;
+    if (settings.mode) {
+      const char* name = scen::to_string(*settings.mode);
+      const auto m = from_string<mem::HierarchyMode>(name);
+      if (!m)
+        throw JobError(ErrorKind::parse,
+                       unknown_name_error<mem::HierarchyMode>("trace mode",
+                                                              name));
+      mode = *m;
+    }
+    in.modes = {mode};
+    in.params = {{"trace", job.trace}, {"mode", mem::to_string(mode)}};
+  } else {
+    auto s = scen::Scenario::load_file(job.scenario, &error);
+    if (!s) throw JobError(ErrorKind::parse, error);
+    in.scenario = std::move(*s);
+    scen::Scenario& sc = in.scenario;
+    if (settings.seed) sc.seed = *settings.seed;
+    if (settings.mode) sc.mode = *settings.mode;
+    if (const auto unref = sc.first_unreferenced_region())
+      throw JobError(ErrorKind::degenerate,
+                     job.scenario + ": scenario.regions[" +
+                         std::to_string(*unref) + "]: region '" +
+                         sc.regions[*unref].name +
+                         "' is declared but referenced by no program");
+    in.config = sc.config;
+    in.name = sc.name;
+    in.modes = sc.hierarchy_modes();
+    in.params = {{"scenario", job.scenario},
+                 {"mode", scen::to_string(sc.mode)},
+                 {"seed", std::to_string(sc.seed)}};
+  }
+  if (settings.backend) in.config.memory.kind = *settings.backend;
+  return in;
+}
+
+void record_result(report::BenchReport& b, const Input& input,
+                   unsigned shards, std::span<const mem::Metrics> results) {
+  const mem::MemoryConfig& memory = input.config.memory;
+  b.set_param("tiles", std::to_string(input.config.tiles));
+  b.set_param("shards", std::to_string(shards));
+  b.set_param("backend", mem::to_string(memory.kind));
+  if (memory.kind == mem::MemBackendKind::banked)
+    b.set_param("mapping", mem::to_string(memory.banked.mapping));
+  for (const auto& [key, value] : input.params) b.set_param(key, value);
+  for (std::size_t i = 0; i < input.modes.size(); ++i)
+    record_metrics(b, std::string{mem::to_string(input.modes[i])} + "/",
+                   results[i]);
+  if (input.modes.size() == 2) {
+    b.record("time_x", results[0].cycles / results[1].cycles, "x");
+    b.record("energy_x", results[0].energy_pj() / results[1].energy_pj(),
+             "x");
+    b.record("noc_x", results[0].noc_flit_hops / results[1].noc_flit_hops,
+             "x");
+  }
+}
+
 namespace {
 
 /// The throwing core of run_job_attempt; the public wrapper translates
 /// every escape into a classified outcome.
 JobOutcome run_attempt_impl(const JobSpec& job, const JobSettings& settings,
                             const std::atomic<bool>& cancel) {
-  mem::SystemConfig cfg;
-  std::vector<mem::HierarchyMode> modes;
-  std::function<mem::Workload()> make_workload;
-  scen::Scenario scenario;                       // scenario jobs
-  std::shared_ptr<const scen::TraceData> trace;  // trace jobs
-
-  if (!job.trace.empty()) {
-    std::string error;
-    auto t = scen::TraceData::read_file(job.trace, &error);
-    if (!t) throw JobError(ErrorKind::parse, error);
-    trace = std::make_shared<const scen::TraceData>(std::move(*t));
-    cfg = trace->config;
-    mem::HierarchyMode mode = trace->mode;
-    if (settings.mode == "cache_only") mode = mem::HierarchyMode::cache_only;
-    else if (settings.mode == "hybrid") mode = mem::HierarchyMode::hybrid;
-    else if (!settings.mode.empty())
-      throw JobError(ErrorKind::parse,
-                     "trace jobs accept mode cache_only or hybrid, got '" +
-                         settings.mode + "'");
-    modes = {mode};
-    make_workload = [&] { return scen::make_replay_workload(trace); };
-  } else {
-    std::string error;
-    auto s = scen::Scenario::load_file(job.scenario, &error);
-    if (!s) throw JobError(ErrorKind::parse, error);
-    scenario = std::move(*s);
-    scenario.seed = settings.seed;
-    if (!settings.mode.empty()) {
-      const auto m = scen::scenario_mode_from(settings.mode);
-      if (!m)
-        throw JobError(ErrorKind::parse,
-                       "unknown mode override '" + settings.mode + "'");
-      scenario.mode = *m;
-    }
-    if (const auto unref = scenario.first_unreferenced_region())
-      throw JobError(ErrorKind::degenerate,
-                     job.scenario + ": scenario.regions[" +
-                         std::to_string(*unref) + "]: region '" +
-                         scenario.regions[*unref].name +
-                         "' is declared but referenced by no program");
-    cfg = scenario.config;
-    modes = scenario.hierarchy_modes();
-    make_workload = [&] { return scenario.instantiate(); };
-  }
-  if (settings.backend == "flat") {
-    cfg.memory.kind = mem::MemBackendKind::flat;
-  } else if (settings.backend == "banked") {
-    cfg.memory.kind = mem::MemBackendKind::banked;
-  } else if (!settings.backend.empty()) {
-    throw JobError(ErrorKind::parse,
-                   "unknown backend override '" + settings.backend + "'");
-  }
-
+  const Input in = load_input(job, settings);
   JobOutcome out;
   std::vector<mem::Metrics> results;
-  for (const mem::HierarchyMode mode : modes) {
-    mem::Workload w = make_workload();
+  for (const mem::HierarchyMode mode : in.modes) {
+    mem::Workload w = in.make_workload();
     wrap_cancellable(w, cancel);
-    mem::System sys{cfg, mode};
+    mem::System sys{in.config, mode};
     results.push_back(
         sys.run(w, mem::RunOptions{.shards = settings.shards}));
     out.sim_accesses += results.back().accesses;
@@ -169,28 +156,8 @@ JobOutcome run_attempt_impl(const JobSpec& job, const JobSettings& settings,
   // contract). Fleet-level throughput lives in the index's informational
   // block instead.
   report::RunReport run{1};
-  auto& b = run.benchmark(job.id, "fleet-job");
-  b.set_param("tiles", std::to_string(cfg.tiles));
-  b.set_param("shards", std::to_string(settings.shards));
-  b.set_param("backend", mem::to_string(cfg.memory.kind));
-  if (!job.trace.empty()) {
-    b.set_param("trace", job.trace);
-    b.set_param("mode", mem::to_string(modes[0]));
-  } else {
-    b.set_param("scenario", job.scenario);
-    b.set_param("mode", scen::to_string(scenario.mode));
-    b.set_param("seed", std::to_string(scenario.seed));
-  }
-  for (std::size_t i = 0; i < modes.size(); ++i)
-    record_metrics(b, std::string{mem::to_string(modes[i])} + "/",
-                   results[i]);
-  if (modes.size() == 2) {
-    b.record("time_x", results[0].cycles / results[1].cycles, "x");
-    b.record("energy_x", results[0].energy_pj() / results[1].energy_pj(),
-             "x");
-    b.record("noc_x", results[0].noc_flit_hops / results[1].noc_flit_hops,
-             "x");
-  }
+  record_result(run.benchmark(job.id, "fleet-job"), in, settings.shards,
+                results);
   out.result = run.to_json();
   return out;
 }

@@ -2,11 +2,15 @@
 /// \file job.hpp
 /// One fleet job, run fault-isolated and in-process: the typed error
 /// taxonomy (JobError), the final per-job statuses, and the attempt
-/// runner. The taxonomy is what makes the fleet robust by construction —
-/// a poisoned scenario (parse failure, degenerate workload, broken
-/// simulator invariant) surfaces as a classified JobError the engine
-/// records and survives, never an abort(); transient kinds are retried
-/// under the deterministic backoff budget, permanent kinds fail fast.
+/// runner. It is also the one path from a scenario or RAAT trace to a run
+/// and a result document: load_input() resolves the input and its
+/// overrides, record_result() writes the result block, and both raa_fleet
+/// (through run_job_attempt) and raa_sim call them. The taxonomy is what
+/// makes the fleet robust by construction — a poisoned scenario (parse
+/// failure, degenerate workload, broken simulator invariant) surfaces as a
+/// classified JobError the engine records and survives, never an abort();
+/// transient kinds are retried under the deterministic backoff budget,
+/// permanent kinds fail fast.
 ///
 /// Cancellation is cooperative: every core program is wrapped so the
 /// access-stream front end observes the watchdog's cancel flag between
@@ -15,19 +19,24 @@
 /// produces, cancelling production bounds the whole run — which is how a
 /// timed-out job's pool slot is reclaimed without killing any thread.
 
+#include <array>
 #include <atomic>
 #include <cstdint>
+#include <memory>
+#include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "fleet/manifest.hpp"
+#include "memsim/access.hpp"
 #include "memsim/config.hpp"
 #include "report/json.hpp"
 #include "report/report.hpp"
-
-namespace raa::mem {
-struct Metrics;
-}  // namespace raa::mem
+#include "scenario/scenario.hpp"
+#include "scenario/trace.hpp"
 
 namespace raa::fleet {
 
@@ -46,7 +55,15 @@ enum class ErrorKind : std::uint8_t {
   internal,    ///< any other exception (bug in the job runner)
 };
 
-const char* to_string(ErrorKind kind) noexcept;
+constexpr std::array<EnumName<ErrorKind>, 8> enum_names(ErrorKind) noexcept {
+  return {{{ErrorKind::none, "none"}, {ErrorKind::parse, "parse"},
+           {ErrorKind::degenerate, "degenerate"}, {ErrorKind::check, "check"},
+           {ErrorKind::io, "io"}, {ErrorKind::cancelled, "cancelled"},
+           {ErrorKind::injected, "injected"},
+           {ErrorKind::internal, "internal"}}};
+}
+
+inline const char* to_string(ErrorKind k) noexcept { return enum_name(k); }
 
 /// True for kinds worth retrying (a repeat attempt can plausibly succeed).
 constexpr bool is_transient(ErrorKind kind) noexcept {
@@ -75,18 +92,55 @@ enum class JobStatus : std::uint8_t {
   skipped,     ///< never attempted (fail-fast tripped first)
 };
 
-const char* to_string(JobStatus status) noexcept;
+constexpr std::array<EnumName<JobStatus>, 5> enum_names(JobStatus) noexcept {
+  return {{{JobStatus::ok, "ok"}, {JobStatus::retried_ok, "retried_ok"},
+           {JobStatus::failed, "failed"}, {JobStatus::timeout, "timeout"},
+           {JobStatus::skipped, "skipped"}}};
+}
+
+inline const char* to_string(JobStatus s) noexcept { return enum_name(s); }
 
 /// Effective per-job execution settings after resolving job entry >
-/// manifest defaults > driver fallback (fleet.cpp does the resolving).
+/// manifest defaults > driver fallback (fleet.cpp does the resolving;
+/// raa_sim fills them from its command line).
 struct JobSettings {
-  std::string mode;     ///< "" = the scenario/trace's own mode
-  std::string backend;  ///< "" = the scenario/trace's own backend
+  std::optional<scen::ScenarioMode> mode;      ///< unset = the input's own
+  std::optional<mem::MemBackendKind> backend;  ///< unset = the input's own
   unsigned shards = 1;
-  std::uint64_t seed = 0;        ///< effective seed (scenario jobs)
+  std::optional<std::uint64_t> seed;  ///< unset = the scenario's own seed
   std::uint64_t timeout_ms = 0;  ///< 0 = no deadline (engine-enforced)
   unsigned retries = 0;          ///< extra attempts for transient kinds
 };
+
+/// A job's input with its settings applied: what a driver simulates and
+/// what record_result() describes. Owns the scenario or the trace.
+struct Input {
+  mem::SystemConfig config;
+  std::vector<mem::HierarchyMode> modes;  ///< one run per mode, in order
+  std::string name;  ///< the scenario's name, the trace's, or "replay"
+  /// Input-specific result params in document order: scenario, mode and
+  /// seed for a scenario; trace and mode for a trace.
+  std::vector<std::pair<std::string, std::string>> params;
+  scen::Scenario scenario;                       ///< scenario inputs
+  std::shared_ptr<const scen::TraceData> trace;  ///< trace inputs
+
+  /// A fresh workload for one run: the scenario instantiated, or a replay
+  /// of the trace.
+  mem::Workload make_workload() const;
+};
+
+/// Read `job`'s scenario or trace and apply the mode, backend and seed of
+/// `settings`. Throws JobError: `parse` for an unreadable or
+/// schema-invalid input, or a trace asked to run `compare`; `degenerate`
+/// for a scenario region that no program references.
+Input load_input(const JobSpec& job, const JobSettings& settings);
+
+/// Write one run of `input` into `b`: the params (tiles, shards, backend,
+/// mapping when banked, then input.params), each mode's metrics through
+/// record_metrics, and for a two-mode run the hybrid speedups time_x,
+/// energy_x and noc_x. `results` holds one Metrics per input.modes entry.
+void record_result(report::BenchReport& b, const Input& input,
+                   unsigned shards, std::span<const mem::Metrics> results);
 
 /// What one attempt produced. `error == none` means success and `result`
 /// holds the deterministic per-job report document (no wall-clock or
@@ -98,8 +152,8 @@ struct JobOutcome {
   std::uint64_t sim_accesses = 0;  ///< informational throughput input
 };
 
-/// Run one attempt of `job` end to end: load the input, apply settings,
-/// simulate every hierarchy mode, build the result document. Never
+/// Run one attempt of `job` end to end: load_input(), simulate every
+/// hierarchy mode, build the result document with record_result(). Never
 /// throws — every failure comes back classified in the outcome. `cancel`
 /// is the watchdog's flag; the attempt observes it cooperatively.
 JobOutcome run_job_attempt(const JobSpec& job, const JobSettings& settings,

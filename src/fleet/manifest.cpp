@@ -1,78 +1,23 @@
 #include "fleet/manifest.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <filesystem>
-#include <fstream>
-#include <limits>
-#include <sstream>
 
 #include "common/rng.hpp"
+#include "report/json_fields.hpp"
 #include "report/report.hpp"
 
 namespace raa::fleet {
 
 namespace {
 
+using json::check_keys;
+using json::Ctx;
+using json::to_enum;
+using json::to_str;
+using json::to_u32;
+using json::to_u64;
 using json::Value;
-
-constexpr double kMaxExactInt = 9007199254740992.0;  // 2^53
-
-/// First-failure-wins error sink with JSON-path context (the scenario
-/// parser's Ctx, re-rolled locally to keep the layers decoupled).
-struct Ctx {
-  std::string* error = nullptr;
-
-  bool fail(const std::string& path, const std::string& msg) {
-    if (error && error->empty()) *error = path + ": " + msg;
-    return false;
-  }
-};
-
-bool to_u64(Ctx& c, const Value& v, const std::string& path,
-            std::uint64_t& out) {
-  if (!v.is_number()) return c.fail(path, "expected a non-negative integer");
-  const double d = v.as_number();
-  if (!(d >= 0.0) || d != std::floor(d) || d > kMaxExactInt)
-    return c.fail(path, "expected a non-negative integer");
-  out = static_cast<std::uint64_t>(d);
-  return true;
-}
-
-bool to_unsigned(Ctx& c, const Value& v, const std::string& path,
-                 unsigned& out) {
-  std::uint64_t x = 0;
-  if (!to_u64(c, v, path, x)) return false;
-  if (x > std::numeric_limits<unsigned>::max())
-    return c.fail(path, "value does not fit in 32 bits");
-  out = static_cast<unsigned>(x);
-  return true;
-}
-
-bool to_str(Ctx& c, const Value& v, const std::string& path,
-            std::string& out) {
-  if (!v.is_string()) return c.fail(path, "expected a string");
-  out = v.as_string();
-  return true;
-}
-
-bool check_keys(Ctx& c, const Value& obj, const std::string& path,
-                std::initializer_list<const char*> allowed) {
-  for (const auto& [key, value] : obj.as_object()) {
-    bool ok = false;
-    for (const char* a : allowed) ok = ok || key == a;
-    if (!ok) return c.fail(path + "." + key, "unknown key");
-  }
-  return true;
-}
-
-bool valid_mode(const std::string& s) {
-  return s == "cache_only" || s == "hybrid" || s == "compare";
-}
-
-bool valid_backend(const std::string& s) {
-  return s == "flat" || s == "banked";
-}
 
 bool filesystem_safe_id(const std::string& id) {
   if (id.empty() || id.size() > 128) return false;
@@ -85,26 +30,14 @@ bool filesystem_safe_id(const std::string& id) {
 /// Parse the limit keys shared by "defaults" and each job entry.
 bool parse_limits(Ctx& c, const Value& obj, const std::string& path,
                   JobLimits& out) {
-  if (const Value* v = obj.find("mode")) {
-    std::string s;
-    if (!to_str(c, *v, path + ".mode", s)) return false;
-    if (!valid_mode(s))
-      return c.fail(path + ".mode", "unknown mode '" + s +
-                                        "' (want cache_only, hybrid or "
-                                        "compare)");
-    out.mode = s;
-  }
-  if (const Value* v = obj.find("backend")) {
-    std::string s;
-    if (!to_str(c, *v, path + ".backend", s)) return false;
-    if (!valid_backend(s))
-      return c.fail(path + ".backend",
-                    "unknown backend '" + s + "' (want flat or banked)");
-    out.backend = s;
-  }
+  if (const Value* v = obj.find("mode"))
+    if (!to_enum(c, *v, path + ".mode", "mode", out.mode)) return false;
+  if (const Value* v = obj.find("backend"))
+    if (!to_enum(c, *v, path + ".backend", "backend", out.backend))
+      return false;
   if (const Value* v = obj.find("shards")) {
     unsigned s = 0;
-    if (!to_unsigned(c, *v, path + ".shards", s)) return false;
+    if (!to_u32(c, *v, path + ".shards", s)) return false;
     if (s < 1) return c.fail(path + ".shards", "expected shards >= 1");
     out.shards = s;
   }
@@ -115,7 +48,7 @@ bool parse_limits(Ctx& c, const Value& obj, const std::string& path,
   }
   if (const Value* v = obj.find("retries")) {
     unsigned r = 0;
-    if (!to_unsigned(c, *v, path + ".retries", r)) return false;
+    if (!to_u32(c, *v, path + ".retries", r)) return false;
     out.retries = r;
   }
   return true;
@@ -234,19 +167,8 @@ std::optional<Manifest> Manifest::parse(const json::Value& doc,
 
 std::optional<Manifest> Manifest::load_file(const std::string& path,
                                             std::string* error) {
-  std::ifstream in{path, std::ios::binary};
-  if (!in) {
-    if (error) *error = path + ": cannot open manifest file";
-    return std::nullopt;
-  }
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  std::string parse_error;
-  const auto doc = json::Value::parse(ss.str(), &parse_error);
-  if (!doc) {
-    if (error) *error = path + ": " + parse_error;
-    return std::nullopt;
-  }
+  const auto doc = json::Value::parse_file(path, error);
+  if (!doc) return std::nullopt;
   auto m = parse(*doc, error);
   if (!m) {
     if (error && !error->empty()) *error = path + ": " + *error;
@@ -302,8 +224,8 @@ json::Value Manifest::to_json() const {
   doc.set("name", name);
   doc.set("seed", static_cast<double>(seed));
   const auto emit_limits = [](Value& obj, const JobLimits& l) {
-    if (l.mode) obj.set("mode", *l.mode);
-    if (l.backend) obj.set("backend", *l.backend);
+    if (l.mode) obj.set("mode", scen::to_string(*l.mode));
+    if (l.backend) obj.set("backend", mem::to_string(*l.backend));
     if (l.shards) obj.set("shards", *l.shards);
     if (l.timeout_ms)
       obj.set("timeout_ms", static_cast<double>(*l.timeout_ms));

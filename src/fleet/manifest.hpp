@@ -20,15 +20,19 @@
 #include <string_view>
 #include <vector>
 
+#include "memsim/config.hpp"
 #include "report/json.hpp"
+#include "scenario/scenario.hpp"
 
 namespace raa::fleet {
 
 /// Per-job knobs resolvable at three levels: job entry > manifest
-/// "defaults" > the driver's command-line fallback.
+/// "defaults" > the driver's command-line fallback. Enum knobs are typed:
+/// their names are checked once, where the manifest or command line is
+/// read.
 struct JobLimits {
-  std::optional<std::string> mode;     ///< cache_only | hybrid | compare
-  std::optional<std::string> backend;  ///< flat | banked
+  std::optional<scen::ScenarioMode> mode;
+  std::optional<mem::MemBackendKind> backend;
   std::optional<unsigned> shards;      ///< front-end lanes per System::run
   std::optional<std::uint64_t> timeout_ms;  ///< per-job deadline; 0 = none
   std::optional<unsigned> retries;     ///< extra attempts for transient errors

@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <sstream>
+#include <utility>
 
 #include "fuzz/genscenario.hpp"
 #include "memsim/system.hpp"
@@ -25,25 +26,42 @@ std::string metrics_diff(const mem::Metrics& a, const mem::Metrics& b) {
 
 }  // namespace
 
-const char* to_string(Oracle o) noexcept {
-  switch (o) {
-    case Oracle::shards: return "shards";
-    case Oracle::replay: return "replay";
-    case Oracle::roundtrip: return "roundtrip";
-    case Oracle::backend: return "backend";
-    case Oracle::marker: return "marker";
-  }
-  return "?";
+const scen::RegionSpec* find_marker_region(const scen::Scenario& s) {
+  for (const auto& r : s.regions)
+    if (r.name.starts_with(kMarkerRegionName)) return &r;
+  return nullptr;
+}
+
+std::optional<Divergence> check_pairs(
+    const mem::SystemConfig& cfg, mem::HierarchyMode mode,
+    const std::function<mem::Workload()>& make, unsigned shards,
+    mem::Metrics* serial) {
+  // Reference leg: serial engine, recorded as it runs.
+  auto trace = std::make_shared<scen::TraceData>();
+  mem::Workload w = make();
+  scen::record_workload(w, cfg, mode, *trace);
+  const mem::Metrics ref = mem::System{cfg, mode}.run(w);
+  if (serial != nullptr) *serial = ref;
+
+  mem::Workload sharded = make();
+  const mem::Metrics m =
+      mem::System{cfg, mode}.run(sharded, mem::RunOptions{.shards = shards});
+  if (!(m == ref))
+    return Divergence{Oracle::shards, mode, metrics_diff(ref, m)};
+
+  mem::Workload replay = scen::make_replay_workload(trace);
+  const mem::Metrics r = mem::System{cfg, mode}.run(replay);
+  if (!(r == ref))
+    return Divergence{Oracle::replay, mode, metrics_diff(ref, r)};
+  return std::nullopt;
 }
 
 std::optional<Divergence> check_oracles(const scen::Scenario& s,
                                         const OracleOptions& opt) {
-  if (opt.check_marker) {
-    for (const auto& r : s.regions)
-      if (r.name.rfind(kMarkerRegionName, 0) == 0)
-        return Divergence{Oracle::marker, mem::HierarchyMode::cache_only,
-                          "synthetic marker region '" + r.name + "' present"};
-  }
+  if (opt.check_marker)
+    if (const scen::RegionSpec* r = find_marker_region(s))
+      return Divergence{Oracle::marker, mem::HierarchyMode::cache_only,
+                        "synthetic marker region '" + r->name + "' present"};
 
   // Serializer round trip first: structural, mode-independent. The parsed
   // copy also re-runs below so a to_json/parse asymmetry that happens to
@@ -57,65 +75,29 @@ std::optional<Divergence> check_oracles(const scen::Scenario& s,
     return Divergence{Oracle::roundtrip, mem::HierarchyMode::cache_only,
                       "parse(to_json()) is not field-identical"};
 
+  const auto make = [&s] { return s.instantiate(); };
   for (const mem::HierarchyMode mode : s.hierarchy_modes()) {
-    // Reference leg: serial engine, recorded as it runs.
-    auto trace = std::make_shared<scen::TraceData>();
-    mem::Workload w = s.instantiate();
-    scen::record_workload(w, s.config, mode, *trace);
-    const mem::Metrics ref = mem::System{s.config, mode}.run(w);
-
-    {
-      mem::Workload w2 = s.instantiate();
-      mem::RunOptions ro;
-      ro.shards = opt.shards;
-      const mem::Metrics m = mem::System{s.config, mode}.run(w2, ro);
-      if (!(m == ref))
-        return Divergence{Oracle::shards, mode, metrics_diff(ref, m)};
-    }
-    {
-      mem::Workload w2 = scen::make_replay_workload(trace);
-      const mem::Metrics m = mem::System{s.config, mode}.run(w2);
-      if (!(m == ref))
-        return Divergence{Oracle::replay, mode, metrics_diff(ref, m)};
-    }
-    {
-      mem::Workload w2 = parsed->instantiate();
-      const mem::Metrics m = mem::System{parsed->config, mode}.run(w2);
-      if (!(m == ref))
-        return Divergence{Oracle::roundtrip, mode, metrics_diff(ref, m)};
-    }
+    mem::Metrics ref;
+    if (auto d = check_pairs(s.config, mode, make, opt.shards, &ref))
+      return d;
+    mem::Workload w = parsed->instantiate();
+    const mem::Metrics m = mem::System{parsed->config, mode}.run(w);
+    if (!(m == ref))
+      return Divergence{Oracle::roundtrip, mode, metrics_diff(ref, m)};
   }
 
-  // Backend oracle: a forced-banked copy must satisfy the same determinism
-  // contracts (serial == sharded, recorded run == trace replay). When the
-  // scenario already selected banked the main battery covered it above.
+  // Backend oracle: the same pairs under a forced-banked config. When the
+  // scenario already selected banked the loop above covered it.
   if (s.config.memory.kind != mem::MemBackendKind::banked) {
-    scen::Scenario b = s;
-    b.config.memory.kind = mem::MemBackendKind::banked;
-    for (const mem::HierarchyMode mode : b.hierarchy_modes()) {
-      auto trace = std::make_shared<scen::TraceData>();
-      mem::Workload w = b.instantiate();
-      scen::record_workload(w, b.config, mode, *trace);
-      const mem::Metrics ref = mem::System{b.config, mode}.run(w);
-      {
-        mem::Workload w2 = b.instantiate();
-        mem::RunOptions ro;
-        ro.shards = opt.shards;
-        const mem::Metrics m = mem::System{b.config, mode}.run(w2, ro);
-        if (!(m == ref))
-          return Divergence{Oracle::backend, mode,
-                            "banked serial vs sharded: " +
-                                metrics_diff(ref, m)};
-      }
-      {
-        mem::Workload w2 = scen::make_replay_workload(trace);
-        const mem::Metrics m = mem::System{b.config, mode}.run(w2);
-        if (!(m == ref))
-          return Divergence{Oracle::backend, mode,
-                            "banked record vs replay: " +
-                                metrics_diff(ref, m)};
-      }
-    }
+    mem::SystemConfig banked = s.config;
+    banked.memory.kind = mem::MemBackendKind::banked;
+    for (const mem::HierarchyMode mode : s.hierarchy_modes())
+      if (auto d = check_pairs(banked, mode, make, opt.shards))
+        return Divergence{Oracle::backend, mode,
+                          (d->oracle == Oracle::shards
+                               ? "banked serial vs sharded: "
+                               : "banked record vs replay: ") +
+                              d->detail};
   }
   return std::nullopt;
 }

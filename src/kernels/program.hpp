@@ -14,6 +14,7 @@
 /// to reproduce the access structure of all six NAS kernels used in
 /// Figure 1 without materialising traces.
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -31,6 +32,14 @@ enum class StreamKind : std::uint8_t {
   random,      ///< uniform random element within the region slice
   random_rmw,  ///< random element, emits load then store (same address)
 };
+
+constexpr std::array<EnumName<StreamKind>, 3> enum_names(StreamKind) noexcept {
+  return {{{StreamKind::linear, "linear"},
+           {StreamKind::random, "random"},
+           {StreamKind::random_rmw, "random_rmw"}}};
+}
+
+inline const char* to_string(StreamKind k) noexcept { return enum_name(k); }
 
 /// One reference stream inside a phase.
 struct Stream {

@@ -12,12 +12,15 @@
 /// The classification is an attribute of the reference (i.e. of the access
 /// stream), mirroring what the compiler derives statically.
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <memory>
 #include <span>
 #include <string>
 #include <vector>
+
+#include "common/enum_names.hpp"
 
 namespace raa::mem {
 
@@ -28,7 +31,13 @@ enum class RefClass : std::uint8_t {
   random_unknown,
 };
 
-const char* to_string(RefClass c) noexcept;
+constexpr std::array<EnumName<RefClass>, 3> enum_names(RefClass) noexcept {
+  return {{{RefClass::strided, "strided"},
+           {RefClass::random_noalias, "random_noalias"},
+           {RefClass::random_unknown, "random_unknown"}}};
+}
+
+inline const char* to_string(RefClass c) noexcept { return enum_name(c); }
 
 /// One memory access issued by a core.
 struct Access {

@@ -6,22 +6,6 @@
 
 namespace raa::mem {
 
-const char* to_string(MemBackendKind kind) noexcept {
-  switch (kind) {
-    case MemBackendKind::flat: return "flat";
-    case MemBackendKind::banked: return "banked";
-  }
-  return "?";
-}
-
-const char* to_string(BankMapping mapping) noexcept {
-  switch (mapping) {
-    case BankMapping::block: return "block";
-    case BankMapping::xor_hash: return "xor";
-  }
-  return "?";
-}
-
 std::unique_ptr<MemBackend> make_backend(const SystemConfig& config) {
   switch (config.memory.kind) {
     case MemBackendKind::flat:

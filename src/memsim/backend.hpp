@@ -197,9 +197,6 @@ class BankedBackend final : public MemBackend {
   bool burst_seen_ = false;
 };
 
-const char* to_string(MemBackendKind kind) noexcept;
-const char* to_string(BankMapping mapping) noexcept;
-
 /// Instantiate the backend selected by `config.memory`.
 std::unique_ptr<MemBackend> make_backend(const SystemConfig& config);
 

@@ -15,9 +15,17 @@
 /// lookup, DRAM two orders above SRAM, NoC energy per flit-hop). Only
 /// *relative* magnitudes matter for the reproduced speedups.
 
+#include <array>
 #include <cstdint>
 
+#include "common/enum_names.hpp"
+
 namespace raa::mem {
+
+/// Hard ceiling on SystemConfig::tiles: the directory keeps each line's
+/// sharer set in one 64-bit mask. Scenario and trace readers reject larger
+/// chips with a parse error before anything is instantiated.
+inline constexpr unsigned kMaxTiles = 64;
 
 /// Which DRAM-timing model serves line fills and writebacks (see
 /// memsim/backend.hpp for the MemBackend interface and both models).
@@ -25,6 +33,13 @@ enum class MemBackendKind : std::uint8_t {
   flat,    ///< fixed-latency DRAM — the original model, baseline-identical
   banked,  ///< per-channel/bank FSMs: open-row policy, FR-FCFS, refresh
 };
+
+constexpr std::array<EnumName<MemBackendKind>, 2> enum_names(
+    MemBackendKind) noexcept {
+  return {{{MemBackendKind::flat, "flat"}, {MemBackendKind::banked, "banked"}}};
+}
+
+inline const char* to_string(MemBackendKind k) noexcept { return enum_name(k); }
 
 /// Parameters of the flat (fixed-latency) model. These are the former
 /// loose SystemConfig fields `lat_dram`/`dram_cycles_per_line`/
@@ -45,6 +60,13 @@ enum class BankMapping : std::uint8_t {
   xor_hash,  ///< bank index XOR-folded with the row — spreads strided
              ///< streams whose stride aliases the bank count ("xor")
 };
+
+constexpr std::array<EnumName<BankMapping>, 2> enum_names(
+    BankMapping) noexcept {
+  return {{{BankMapping::block, "block"}, {BankMapping::xor_hash, "xor"}}};
+}
+
+inline const char* to_string(BankMapping m) noexcept { return enum_name(m); }
 
 /// Parameters of the banked model. Timings are DDR-class in core cycles:
 /// a row hit costs t_cas + line_cycles, an activate-on-closed-bank adds
@@ -138,14 +160,68 @@ struct SystemConfig {
   friend bool operator==(const SystemConfig&, const SystemConfig&) = default;
 };
 
+/// The one list of SystemConfig's numeric fields: `f(name, field)` in the
+/// order the scenario "config" object and the RAAT trace header share. The
+/// flat backend's knobs appear under their legacy config-level names,
+/// which scenario files still accept as aliases of "memory.flat".
+template <class C, class F>
+constexpr void for_each_config_field(C& c, F&& f) {
+  f("tiles", c.tiles), f("mesh_x", c.mesh_x), f("mesh_y", c.mesh_y);
+  f("mem_controllers", c.mem_controllers), f("line_bytes", c.line_bytes);
+  f("l1_bytes", c.l1_bytes), f("l1_assoc", c.l1_assoc);
+  f("l2_bank_bytes", c.l2_bank_bytes), f("l2_assoc", c.l2_assoc);
+  f("spm_bytes", c.spm_bytes), f("dma_chunk_bytes", c.dma_chunk_bytes);
+  f("lat_l1_hit", c.lat_l1_hit), f("lat_spm_hit", c.lat_spm_hit);
+  f("lat_l2_hit", c.lat_l2_hit), f("lat_dir", c.lat_dir);
+  f("lat_filter", c.lat_filter), f("lat_dram", c.memory.flat.lat_dram);
+  f("lat_router", c.lat_router), f("lat_link", c.lat_link);
+  f("dram_cycles_per_line", c.memory.flat.dram_cycles_per_line);
+  f("e_l1_hit", c.e_l1_hit), f("e_l1_probe", c.e_l1_probe);
+  f("e_spm", c.e_spm), f("e_l2", c.e_l2), f("e_dir", c.e_dir);
+  f("e_filter", c.e_filter), f("e_dram_line", c.memory.flat.e_dram_line);
+  f("e_flit_hop", c.e_flit_hop);
+  f("e_static_per_tile_cycle", c.e_static_per_tile_cycle);
+}
+
+/// The "memory.flat" keys, `f(name, field)`.
+template <class P, class F>
+constexpr void for_each_flat_field(P& p, F&& f) {
+  f("lat_dram", p.lat_dram);
+  f("dram_cycles_per_line", p.dram_cycles_per_line);
+  f("e_dram_line", p.e_dram_line);
+}
+
+/// The "memory.banked" keys in document order, `f(name, field, zero_ok)`:
+/// `zero_ok` marks the unsigned fields that may be 0 (timings, and refresh,
+/// which can be disabled outright). `mapping` is the one enum field.
+template <class P, class F>
+constexpr void for_each_banked_field(P& b, F&& f) {
+  f("channels", b.channels, false);
+  f("banks_per_channel", b.banks_per_channel, false);
+  f("mapping", b.mapping, false), f("row_bytes", b.row_bytes, false);
+  f("t_rp", b.t_rp, true), f("t_rcd", b.t_rcd, true);
+  f("t_cas", b.t_cas, true), f("line_cycles", b.line_cycles, false);
+  f("refresh_interval", b.refresh_interval, true);
+  f("refresh_cycles", b.refresh_cycles, true);
+  f("dma_cycles_per_line", b.dma_cycles_per_line, false);
+  f("e_line", b.e_line, false), f("e_activate", b.e_activate, false);
+  f("e_refresh", b.e_refresh, false);
+}
+
 /// Which hierarchy the system models (the Figure 1 comparison).
 enum class HierarchyMode : std::uint8_t {
   cache_only,  ///< baseline: everything through the cache hierarchy
   hybrid,      ///< SPM+cache with the co-designed coherence protocol
 };
 
+constexpr std::array<EnumName<HierarchyMode>, 2> enum_names(
+    HierarchyMode) noexcept {
+  return {{{HierarchyMode::cache_only, "cache_only"},
+           {HierarchyMode::hybrid, "hybrid"}}};
+}
+
 /// "cache_only" / "hybrid": the name reports, tables and traces use.
-const char* to_string(HierarchyMode m) noexcept;
+inline const char* to_string(HierarchyMode m) noexcept { return enum_name(m); }
 
 /// Aggregated simulation results.
 struct Metrics {

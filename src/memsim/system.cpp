@@ -13,23 +13,6 @@
 
 namespace raa::mem {
 
-const char* to_string(RefClass c) noexcept {
-  switch (c) {
-    case RefClass::strided: return "strided";
-    case RefClass::random_noalias: return "random_noalias";
-    case RefClass::random_unknown: return "random_unknown";
-  }
-  return "?";
-}
-
-const char* to_string(HierarchyMode m) noexcept {
-  switch (m) {
-    case HierarchyMode::cache_only: return "cache_only";
-    case HierarchyMode::hybrid: return "hybrid";
-  }
-  return "?";
-}
-
 namespace {
 
 /// Flat index-min tournament (loser) tree over the core ids, keyed by
@@ -126,7 +109,7 @@ class CoreHeap {
 
 System::System(const SystemConfig& config, HierarchyMode mode)
     : cfg_(config), mode_(mode), noc_(config), lines_(config.line_bytes) {
-  RAA_CHECK(cfg_.tiles <= 64);  // directory sharer mask is a 64-bit word
+  RAA_CHECK(cfg_.tiles <= kMaxTiles);
   line_pow2_ = std::has_single_bit(cfg_.line_bytes);
   chunk_pow2_ = std::has_single_bit(cfg_.dma_chunk_bytes);
   tiles_pow2_ = std::has_single_bit(cfg_.tiles);

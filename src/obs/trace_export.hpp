@@ -15,20 +15,25 @@
 ///  - dual: both of the above in one file as two trace "processes"
 ///          (pid 0 = simulated clock, pid 1 = host clock).
 
+#include <array>
 #include <optional>
 #include <string>
 #include <string_view>
 
+#include "common/enum_names.hpp"
 #include "obs/obs.hpp"
 
 namespace raa::obs {
 
 enum class TraceClock { sim, host, dual };
 
-/// Parse a --trace-clock= value ("sim" | "host" | "dual").
-std::optional<TraceClock> parse_trace_clock(std::string_view s) noexcept;
+constexpr std::array<EnumName<TraceClock>, 3> enum_names(TraceClock) noexcept {
+  return {{{TraceClock::sim, "sim"},
+           {TraceClock::host, "host"},
+           {TraceClock::dual, "dual"}}};
+}
 
-const char* trace_clock_str(TraceClock clock) noexcept;
+inline const char* to_string(TraceClock c) noexcept { return enum_name(c); }
 
 /// Render the trace as Chrome trace-event JSON text.
 std::string chrome_trace_json(const Trace& trace, TraceClock clock);

@@ -64,15 +64,6 @@ std::size_t count_metrics(const json::Array& benches) {
 
 }  // namespace
 
-const char* to_string(DeltaKind k) noexcept {
-  switch (k) {
-    case DeltaKind::ok: return "ok";
-    case DeltaKind::regression: return "REGRESSION";
-    case DeltaKind::missing: return "MISSING";
-  }
-  return "?";
-}
-
 std::size_t CompareResult::violations() const noexcept {
   std::size_t n = 0;
   for (const auto& d : deltas)

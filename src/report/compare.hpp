@@ -6,10 +6,12 @@
 /// "tolerance" field on any metric to override the default. The compared
 /// value is the per-metric "median".
 
+#include <array>
 #include <cstddef>
 #include <string>
 #include <vector>
 
+#include "common/enum_names.hpp"
 #include "report/json.hpp"
 
 namespace raa::report {
@@ -26,7 +28,12 @@ enum class DeltaKind {
   missing,     ///< metric present in the baseline, absent from the results
 };
 
-const char* to_string(DeltaKind k) noexcept;
+constexpr std::array<EnumName<DeltaKind>, 3> enum_names(DeltaKind) noexcept {
+  return {{{DeltaKind::ok, "ok"}, {DeltaKind::regression, "REGRESSION"},
+           {DeltaKind::missing, "MISSING"}}};
+}
+
+inline const char* to_string(DeltaKind k) noexcept { return enum_name(k); }
 
 /// One baseline metric's verdict.
 struct MetricDelta {

@@ -4,6 +4,8 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 
 namespace raa::json {
 
@@ -358,6 +360,20 @@ std::optional<Value> Value::parse(std::string_view text, std::string* error) {
     return std::nullopt;
   }
   return v;
+}
+
+std::optional<Value> Value::parse_file(const std::string& path,
+                                       std::string* error) {
+  std::ifstream in{path, std::ios::binary};
+  if (!in) {
+    if (error) *error = path + ": cannot open for reading";
+    return std::nullopt;
+  }
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  auto doc = parse(ss.str(), error);
+  if (!doc && error) *error = path + ": " + *error;
+  return doc;
 }
 
 std::string escape(std::string_view s) {

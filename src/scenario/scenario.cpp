@@ -1,67 +1,30 @@
 #include "scenario/scenario.hpp"
 
-#include <cmath>
 #include <cstdint>
-#include <fstream>
-#include <limits>
-#include <sstream>
+#include <string_view>
+#include <type_traits>
 
 #include "common/check.hpp"
-#include "memsim/backend.hpp"
+#include "report/json_fields.hpp"
 #include "scenario/generators.hpp"
 
 namespace raa::scen {
 
 namespace {
 
+using json::check_keys;
+using json::Ctx;
+using json::to_enum;
+using json::to_str;
+using json::to_u32;
+using json::to_u64;
 using json::Value;
-
-/// Largest double that still represents integers exactly.
-constexpr double kMaxExactInt = 9007199254740992.0;  // 2^53
-
-/// Shared error sink: first failure wins, every message carries the JSON
-/// path of the offending value.
-struct Ctx {
-  std::string* error = nullptr;
-
-  bool fail(const std::string& path, const std::string& msg) {
-    if (error && error->empty()) *error = path + ": " + msg;
-    return false;
-  }
-};
-
-bool to_u64(Ctx& c, const Value& v, const std::string& path,
-            std::uint64_t& out) {
-  if (!v.is_number()) return c.fail(path, "expected a non-negative integer");
-  const double d = v.as_number();
-  if (!(d >= 0.0) || d != std::floor(d) || d > kMaxExactInt)
-    return c.fail(path, "expected a non-negative integer");
-  out = static_cast<std::uint64_t>(d);
-  return true;
-}
-
-bool to_u32(Ctx& c, const Value& v, const std::string& path,
-            std::uint32_t& out) {
-  std::uint64_t x = 0;
-  if (!to_u64(c, v, path, x)) return false;
-  if (x > std::numeric_limits<std::uint32_t>::max())
-    return c.fail(path, "value does not fit in 32 bits");
-  out = static_cast<std::uint32_t>(x);
-  return true;
-}
 
 bool to_fraction(Ctx& c, const Value& v, const std::string& path,
                  double& out) {
   if (!v.is_number() || v.as_number() < 0.0 || v.as_number() > 1.0)
     return c.fail(path, "expected a number in [0, 1]");
   out = v.as_number();
-  return true;
-}
-
-bool to_str(Ctx& c, const Value& v, const std::string& path,
-            std::string& out) {
-  if (!v.is_string()) return c.fail(path, "expected a string");
-  out = v.as_string();
   return true;
 }
 
@@ -88,175 +51,85 @@ bool req(Ctx& c, const Value& obj, const std::string& path, const char* key,
   return to(c, *v, path + "." + key, out);
 }
 
-/// Strict schema: every key must be in the allowed list.
-bool check_keys(Ctx& c, const Value& obj, const std::string& path,
-                std::initializer_list<const char*> allowed) {
-  for (const auto& [key, value] : obj.as_object()) {
-    bool ok = false;
-    for (const char* a : allowed) ok = ok || key == a;
-    if (!ok) return c.fail(path + "." + key, "unknown key");
-  }
+/// opt()/req() readers over an enum's name table; the string names the
+/// field in the "unknown ..." diagnostic.
+constexpr auto enum_field(const char* what) {
+  return [what](Ctx& c, const Value& v, const std::string& path, auto& out) {
+    return to_enum(c, v, path, what, out);
+  };
+}
+constexpr auto to_ref_class = enum_field("reference class");
+constexpr auto to_stream_kind = enum_field("stream kind");
+constexpr auto to_gen_kind = enum_field("generator");
+
+/// One field of a walked parameter object (memsim/config.hpp's
+/// for_each_*_field lists). Unsigned values must be positive unless
+/// `zero_ok`; doubles must be non-negative.
+bool to_param(Ctx& c, const Value& v, const std::string& path,
+              unsigned& out, bool zero_ok) {
+  std::uint32_t x = 0;
+  if (!to_u32(c, v, path, x)) return false;
+  if (x == 0 && !zero_ok) return c.fail(path, "must be positive");
+  out = x;
   return true;
 }
 
-bool to_ref_class(Ctx& c, const Value& v, const std::string& path,
-                  mem::RefClass& out) {
-  std::string s;
-  if (!to_str(c, v, path, s)) return false;
-  if (s == "strided")
-    out = mem::RefClass::strided;
-  else if (s == "random_noalias")
-    out = mem::RefClass::random_noalias;
-  else if (s == "random_unknown")
-    out = mem::RefClass::random_unknown;
-  else
-    return c.fail(path, "unknown reference class '" + s +
-                            "' (want strided, random_noalias or "
-                            "random_unknown)");
+bool to_param(Ctx& c, const Value& v, const std::string& path, double& out,
+              bool) {
+  if (!v.is_number() || v.as_number() < 0.0)
+    return c.fail(path, "expected a non-negative number");
+  out = v.as_number();
   return true;
 }
 
-bool to_opt_ref_class(Ctx& c, const Value& v, const std::string& path,
-                      std::optional<mem::RefClass>& out) {
-  mem::RefClass r = mem::RefClass::strided;
-  if (!to_ref_class(c, v, path, r)) return false;
-  out = r;
-  return true;
+bool to_param(Ctx& c, const Value& v, const std::string& path,
+              mem::BankMapping& out, bool) {
+  return to_enum(c, v, path, "mapping", out);
 }
 
-bool to_stream_kind(Ctx& c, const Value& v, const std::string& path,
-                    kern::StreamKind& out) {
-  std::string s;
-  if (!to_str(c, v, path, s)) return false;
-  if (s == "linear")
-    out = kern::StreamKind::linear;
-  else if (s == "random")
-    out = kern::StreamKind::random;
-  else if (s == "random_rmw")
-    out = kern::StreamKind::random_rmw;
-  else
-    return c.fail(path, "unknown stream kind '" + s +
-                            "' (want linear, random or random_rmw)");
-  return true;
-}
-
-bool parse_config(Ctx& c, const Value& v, const std::string& path,
-                  mem::SystemConfig& cfg) {
+/// Read every key of object `v` into the field `walk` lists under that
+/// name; a key no field claims fails with `unknown`.
+template <class Walk>
+bool parse_fields(Ctx& c, const Value& v, const std::string& path,
+                  Walk&& walk, const char* unknown) {
   if (!v.is_object()) return c.fail(path, "expected an object");
   for (const auto& [key, val] : v.as_object()) {
     const std::string p = path + "." + key;
-    unsigned* u = nullptr;
-    double* d = nullptr;
-    if (key == "tiles") u = &cfg.tiles;
-    else if (key == "mesh_x") u = &cfg.mesh_x;
-    else if (key == "mesh_y") u = &cfg.mesh_y;
-    else if (key == "mem_controllers") u = &cfg.mem_controllers;
-    else if (key == "line_bytes") u = &cfg.line_bytes;
-    else if (key == "l1_bytes") u = &cfg.l1_bytes;
-    else if (key == "l1_assoc") u = &cfg.l1_assoc;
-    else if (key == "l2_bank_bytes") u = &cfg.l2_bank_bytes;
-    else if (key == "l2_assoc") u = &cfg.l2_assoc;
-    else if (key == "spm_bytes") u = &cfg.spm_bytes;
-    else if (key == "dma_chunk_bytes") u = &cfg.dma_chunk_bytes;
-    else if (key == "lat_l1_hit") u = &cfg.lat_l1_hit;
-    else if (key == "lat_spm_hit") u = &cfg.lat_spm_hit;
-    else if (key == "lat_l2_hit") u = &cfg.lat_l2_hit;
-    else if (key == "lat_dir") u = &cfg.lat_dir;
-    else if (key == "lat_filter") u = &cfg.lat_filter;
-    // lat_dram / dram_cycles_per_line / e_dram_line moved into the flat
-    // backend's parameter struct; the config-level keys stay as aliases
-    // so pre-backend scenario files keep parsing (memory.flat overrides
-    // them when both are given — it is parsed after config).
-    else if (key == "lat_dram") u = &cfg.memory.flat.lat_dram;
-    else if (key == "lat_router") u = &cfg.lat_router;
-    else if (key == "lat_link") u = &cfg.lat_link;
-    else if (key == "dram_cycles_per_line")
-      u = &cfg.memory.flat.dram_cycles_per_line;
-    else if (key == "e_l1_hit") d = &cfg.e_l1_hit;
-    else if (key == "e_l1_probe") d = &cfg.e_l1_probe;
-    else if (key == "e_spm") d = &cfg.e_spm;
-    else if (key == "e_l2") d = &cfg.e_l2;
-    else if (key == "e_dir") d = &cfg.e_dir;
-    else if (key == "e_filter") d = &cfg.e_filter;
-    else if (key == "e_dram_line") d = &cfg.memory.flat.e_dram_line;
-    else if (key == "e_flit_hop") d = &cfg.e_flit_hop;
-    else if (key == "e_static_per_tile_cycle") d = &cfg.e_static_per_tile_cycle;
-    else return c.fail(p, "unknown config key");
-    if (u != nullptr) {
-      std::uint32_t x = 0;
-      if (!to_u32(c, val, p, x)) return false;
-      if (x == 0) return c.fail(p, "must be positive");
-      *u = x;
-    } else {
-      if (!val.is_number() || val.as_number() < 0.0)
-        return c.fail(p, "expected a non-negative number");
-      *d = val.as_number();
-    }
+    bool known = false;
+    bool ok = true;
+    walk([&](const char* name, auto& field, bool zero_ok = false) {
+      if (known || key != name) return;
+      known = true;
+      ok = to_param(c, val, p, field, zero_ok);
+    });
+    if (!known) return c.fail(p, unknown);
+    if (!ok) return false;
   }
+  return true;
+}
+
+// lat_dram / dram_cycles_per_line / e_dram_line moved into the flat
+// backend's parameter struct; the config-level keys stay as aliases so
+// pre-backend scenario files keep parsing (memory.flat overrides them when
+// both are given — it is parsed after config).
+bool parse_config(Ctx& c, const Value& v, const std::string& path,
+                  mem::SystemConfig& cfg) {
+  if (!parse_fields(
+          c, v, path,
+          [&](auto&& f) { mem::for_each_config_field(cfg, f); },
+          "unknown config key"))
+    return false;
+  if (cfg.tiles > mem::kMaxTiles)
+    return c.fail(path + ".tiles",
+                  "tiles (" + std::to_string(cfg.tiles) + ") exceeds the " +
+                      std::to_string(mem::kMaxTiles) +
+                      "-tile limit (the directory's sharer mask)");
   if (cfg.tiles != cfg.mesh_x * cfg.mesh_y)
     return c.fail(path, "tiles (" + std::to_string(cfg.tiles) +
                             ") must equal mesh_x * mesh_y (" +
                             std::to_string(cfg.mesh_x * cfg.mesh_y) + ")");
   if (cfg.dma_chunk_bytes % cfg.line_bytes != 0)
     return c.fail(path, "dma_chunk_bytes must be a multiple of line_bytes");
-  return true;
-}
-
-bool to_backend_kind(Ctx& c, const Value& v, const std::string& path,
-                     mem::MemBackendKind& out) {
-  std::string s;
-  if (!to_str(c, v, path, s)) return false;
-  if (s == "flat")
-    out = mem::MemBackendKind::flat;
-  else if (s == "banked")
-    out = mem::MemBackendKind::banked;
-  else
-    return c.fail(path,
-                  "unknown backend '" + s + "' (want flat or banked)");
-  return true;
-}
-
-/// Shared loop for the flat/banked parameter sub-objects: each key maps
-/// to an unsigned, double or bank-mapping destination; unsigned keys must
-/// be positive unless listed in `zero_ok` (refresh can be disabled
-/// outright).
-struct ParamKey {
-  const char* key;
-  unsigned* u = nullptr;
-  double* d = nullptr;
-  bool zero_ok = false;
-  mem::BankMapping* m = nullptr;
-};
-
-bool parse_params(Ctx& c, const Value& v, const std::string& path,
-                  std::initializer_list<ParamKey> keys) {
-  if (!v.is_object()) return c.fail(path, "expected an object");
-  for (const auto& [key, val] : v.as_object()) {
-    const std::string p = path + "." + key;
-    const ParamKey* match = nullptr;
-    for (const ParamKey& k : keys)
-      if (key == k.key) match = &k;
-    if (match == nullptr) return c.fail(p, "unknown key");
-    if (match->u != nullptr) {
-      std::uint32_t x = 0;
-      if (!to_u32(c, val, p, x)) return false;
-      if (x == 0 && !match->zero_ok) return c.fail(p, "must be positive");
-      *match->u = x;
-    } else if (match->m != nullptr) {
-      std::string s;
-      if (!to_str(c, val, p, s)) return false;
-      if (s == "block")
-        *match->m = mem::BankMapping::block;
-      else if (s == "xor")
-        *match->m = mem::BankMapping::xor_hash;
-      else
-        return c.fail(p, "unknown mapping '" + s + "' (want block or xor)");
-    } else {
-      if (!val.is_number() || val.as_number() < 0.0)
-        return c.fail(p, "expected a non-negative number");
-      *match->d = val.as_number();
-    }
-  }
   return true;
 }
 
@@ -268,36 +141,20 @@ bool parse_memory(Ctx& c, const Value& v, const std::string& path,
   if (!v.is_object()) return c.fail(path, "expected an object");
   if (!check_keys(c, v, path, {"backend", "flat", "banked"})) return false;
   if (const Value* bv = v.find("backend")) {
-    if (!to_backend_kind(c, *bv, path + ".backend", m.kind)) return false;
+    if (!to_enum(c, *bv, path + ".backend", "backend", m.kind)) return false;
   }
-  if (const Value* fv = v.find("flat")) {
-    if (!parse_params(c, *fv, path + ".flat",
-                      {{"lat_dram", &m.flat.lat_dram},
-                       {"dram_cycles_per_line",
-                        &m.flat.dram_cycles_per_line},
-                       {"e_dram_line", nullptr, &m.flat.e_dram_line}}))
+  if (const Value* fv = v.find("flat"))
+    if (!parse_fields(
+            c, *fv, path + ".flat",
+            [&](auto&& f) { mem::for_each_flat_field(m.flat, f); },
+            "unknown key"))
       return false;
-  }
-  if (const Value* bv = v.find("banked")) {
-    auto& b = m.banked;
-    if (!parse_params(
+  if (const Value* bv = v.find("banked"))
+    if (!parse_fields(
             c, *bv, path + ".banked",
-            {{"channels", &b.channels},
-             {"banks_per_channel", &b.banks_per_channel},
-             {"mapping", nullptr, nullptr, false, &b.mapping},
-             {"row_bytes", &b.row_bytes},
-             {"t_rp", &b.t_rp, nullptr, true},
-             {"t_rcd", &b.t_rcd, nullptr, true},
-             {"t_cas", &b.t_cas, nullptr, true},
-             {"line_cycles", &b.line_cycles},
-             {"refresh_interval", &b.refresh_interval, nullptr, true},
-             {"refresh_cycles", &b.refresh_cycles, nullptr, true},
-             {"dma_cycles_per_line", &b.dma_cycles_per_line},
-             {"e_line", nullptr, &b.e_line},
-             {"e_activate", nullptr, &b.e_activate},
-             {"e_refresh", nullptr, &b.e_refresh}}))
+            [&](auto&& f) { mem::for_each_banked_field(m.banked, f); },
+            "unknown key"))
       return false;
-  }
   return true;
 }
 
@@ -406,7 +263,7 @@ bool parse_streams(Ctx& c, const Value& v, const std::string& path,
       return false;
     if (!opt(c, sv, p, "kind", to_stream_kind, s.kind)) return false;
     if (!opt(c, sv, p, "store", to_bool, s.store)) return false;
-    if (!opt(c, sv, p, "class", to_opt_ref_class, s.ref)) return false;
+    if (!opt(c, sv, p, "class", to_ref_class, s.ref)) return false;
     if (!opt(c, sv, p, "start", to_u64, s.start)) return false;
     if (!opt(c, sv, p, "stride", to_u64, s.stride)) return false;
     if (!opt(c, sv, p, "elem_bytes", to_u32, s.elem_bytes)) return false;
@@ -493,8 +350,7 @@ bool parse_program(Ctx& c, const Value& v, const std::string& path,
                    const std::vector<RegionSpec>& regions, unsigned tiles,
                    std::uint64_t& chase_elems, ProgramSpec& p) {
   if (!v.is_object()) return c.fail(path, "expected an object");
-  std::string gen;
-  if (!req(c, v, path, "generator", to_str, gen)) return false;
+  if (!req(c, v, path, "generator", to_gen_kind, p.kind)) return false;
   if (!parse_cores(c, v, path, tiles, p.cores)) return false;
 
   const auto region_field = [&](const char* key, std::size_t& out) {
@@ -523,16 +379,14 @@ bool parse_program(Ctx& c, const Value& v, const std::string& path,
     return true;
   };
 
-  if (gen == "scripted") {
-    p.kind = GenKind::scripted;
+  if (p.kind == GenKind::scripted) {
     if (!check_keys(c, v, path, {"generator", "cores", "phases"}))
       return false;
     const Value* pv = v.find("phases");
     if (pv == nullptr) return c.fail(path, "missing required key \"phases\"");
     return parse_phases(c, *pv, path + ".phases", regions, tiles, p.phases);
   }
-  if (gen == "zipf") {
-    p.kind = GenKind::zipf;
+  if (p.kind == GenKind::zipf) {
     if (!check_keys(c, v, path,
                     {"generator", "cores", "region", "slice", "class",
                      "accesses", "elem_bytes", "hot_fraction", "hot_weight",
@@ -541,7 +395,7 @@ bool parse_program(Ctx& c, const Value& v, const std::string& path,
     if (!region_field("region", p.region)) return false;
     if (!parse_slice(c, v, path, regions, p.region, p.per_core_slice))
       return false;
-    if (!opt(c, v, path, "class", to_opt_ref_class, p.ref)) return false;
+    if (!opt(c, v, path, "class", to_ref_class, p.ref)) return false;
     if (!req(c, v, path, "accesses", to_u64, p.accesses)) return false;
     if (p.accesses == 0) return c.fail(path + ".accesses", "must be positive");
     if (!elem_and_gap()) return false;
@@ -555,8 +409,7 @@ bool parse_program(Ctx& c, const Value& v, const std::string& path,
       return false;
     return window_check(p.region, p.per_core_slice, 2);
   }
-  if (gen == "pointer_chase") {
-    p.kind = GenKind::pointer_chase;
+  if (p.kind == GenKind::pointer_chase) {
     if (!check_keys(c, v, path,
                     {"generator", "cores", "region", "slice", "class",
                      "accesses", "elem_bytes", "gap_cycles"}))
@@ -564,7 +417,7 @@ bool parse_program(Ctx& c, const Value& v, const std::string& path,
     if (!region_field("region", p.region)) return false;
     if (!parse_slice(c, v, path, regions, p.region, p.per_core_slice))
       return false;
-    if (!opt(c, v, path, "class", to_opt_ref_class, p.ref)) return false;
+    if (!opt(c, v, path, "class", to_ref_class, p.ref)) return false;
     if (!req(c, v, path, "accesses", to_u64, p.accesses)) return false;
     if (p.accesses == 0) return c.fail(path + ".accesses", "must be positive");
     if (!elem_and_gap()) return false;
@@ -586,8 +439,7 @@ bool parse_program(Ctx& c, const Value& v, const std::string& path,
     chase_elems += elems * cores;
     return true;
   }
-  if (gen == "stencil") {
-    p.kind = GenKind::stencil;
+  if (p.kind == GenKind::stencil) {
     if (!check_keys(c, v, path,
                     {"generator", "cores", "in", "out", "sweeps", "halo",
                      "halo_class", "elem_bytes", "gap_cycles"}))
@@ -601,7 +453,7 @@ bool parse_program(Ctx& c, const Value& v, const std::string& path,
     if (!opt(c, v, path, "sweeps", to_u32, p.sweeps)) return false;
     if (p.sweeps == 0) return c.fail(path + ".sweeps", "must be positive");
     if (!opt(c, v, path, "halo", to_u32, p.halo)) return false;
-    if (!opt(c, v, path, "halo_class", to_opt_ref_class, p.halo_ref))
+    if (!opt(c, v, path, "halo_class", to_ref_class, p.halo_ref))
       return false;
     if (p.halo_ref && *p.halo_ref == mem::RefClass::strided)
       return c.fail(path + ".halo_class",
@@ -615,8 +467,7 @@ bool parse_program(Ctx& c, const Value& v, const std::string& path,
                               regions[p.region].name + "'");
     return window_check(p.region, /*per_core=*/true, 1);
   }
-  if (gen == "producer_consumer") {
-    p.kind = GenKind::producer_consumer;
+  if (p.kind == GenKind::producer_consumer) {
     if (!check_keys(c, v, path,
                     {"generator", "cores", "region", "class", "iterations",
                      "elem_bytes", "gap_cycles"}))
@@ -626,15 +477,14 @@ bool parse_program(Ctx& c, const Value& v, const std::string& path,
       return c.fail(path, "producer_consumer needs a bytes_per_core region "
                           "(the per-core slot), but '" +
                               regions[p.region].name + "' declares \"bytes\"");
-    if (!opt(c, v, path, "class", to_opt_ref_class, p.ref)) return false;
+    if (!opt(c, v, path, "class", to_ref_class, p.ref)) return false;
     if (!req(c, v, path, "iterations", to_u64, p.iterations)) return false;
     if (p.iterations == 0)
       return c.fail(path + ".iterations", "must be positive");
     if (!elem_and_gap()) return false;
     return window_check(p.region, /*per_core=*/true, 1);
   }
-  if (gen == "bursty") {
-    p.kind = GenKind::bursty;
+  if (p.kind == GenKind::bursty) {
     if (!check_keys(c, v, path,
                     {"generator", "cores", "region", "slice", "class",
                      "bursts", "burst_len", "gap_on", "gap_off",
@@ -643,7 +493,7 @@ bool parse_program(Ctx& c, const Value& v, const std::string& path,
     if (!region_field("region", p.region)) return false;
     if (!parse_slice(c, v, path, regions, p.region, p.per_core_slice))
       return false;
-    if (!opt(c, v, path, "class", to_opt_ref_class, p.ref)) return false;
+    if (!opt(c, v, path, "class", to_ref_class, p.ref)) return false;
     if (!req(c, v, path, "bursts", to_u64, p.bursts)) return false;
     if (!req(c, v, path, "burst_len", to_u64, p.burst_len)) return false;
     if (p.bursts == 0 || p.burst_len == 0)
@@ -657,29 +507,10 @@ bool parse_program(Ctx& c, const Value& v, const std::string& path,
       return c.fail(path + ".elem_bytes", "must be positive");
     return window_check(p.region, p.per_core_slice, 1);
   }
-  return c.fail(path + ".generator",
-                "unknown generator '" + gen +
-                    "' (want scripted, zipf, pointer_chase, stencil, "
-                    "producer_consumer or bursty)");
+  return true;
 }
 
 }  // namespace
-
-const char* to_string(ScenarioMode m) noexcept {
-  switch (m) {
-    case ScenarioMode::cache_only: return "cache_only";
-    case ScenarioMode::hybrid: return "hybrid";
-    case ScenarioMode::compare: return "compare";
-  }
-  return "?";
-}
-
-std::optional<ScenarioMode> scenario_mode_from(std::string_view s) noexcept {
-  if (s == "cache_only") return ScenarioMode::cache_only;
-  if (s == "hybrid") return ScenarioMode::hybrid;
-  if (s == "compare") return ScenarioMode::compare;
-  return std::nullopt;
-}
 
 std::vector<mem::HierarchyMode> Scenario::hierarchy_modes() const {
   switch (mode) {
@@ -711,17 +542,8 @@ std::optional<Scenario> Scenario::parse(const json::Value& doc,
   }
   if (!opt(c, doc, root, "description", to_str, s.description))
     return std::nullopt;
-  if (const Value* mv = doc.find("mode")) {
-    std::string ms;
-    if (!to_str(c, *mv, root + ".mode", ms)) return std::nullopt;
-    const auto m = scenario_mode_from(ms);
-    if (!m) {
-      c.fail(root + ".mode", "unknown mode '" + ms +
-                                 "' (want cache_only, hybrid or compare)");
-      return std::nullopt;
-    }
-    s.mode = *m;
-  }
+  if (const Value* mv = doc.find("mode"))
+    if (!to_enum(c, *mv, root + ".mode", "mode", s.mode)) return std::nullopt;
   if (!opt(c, doc, root, "seed", to_u64, s.seed)) return std::nullopt;
   if (const Value* cv = doc.find("config")) {
     if (!parse_config(c, *cv, root + ".config", s.config)) return std::nullopt;
@@ -782,19 +604,8 @@ std::optional<Scenario> Scenario::parse(const json::Value& doc,
 
 std::optional<Scenario> Scenario::load_file(const std::string& path,
                                             std::string* error) {
-  std::ifstream in{path, std::ios::binary};
-  if (!in) {
-    if (error) *error = path + ": cannot open for reading";
-    return std::nullopt;
-  }
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  std::string parse_error;
-  const auto doc = json::Value::parse(ss.str(), &parse_error);
-  if (!doc) {
-    if (error) *error = path + ": " + parse_error;
-    return std::nullopt;
-  }
+  const auto doc = json::Value::parse_file(path, error);
+  if (!doc) return std::nullopt;
   std::string semantic_error;
   auto s = parse(*doc, &semantic_error);
   if (!s && error) *error = path + ": " + semantic_error;
@@ -807,35 +618,30 @@ namespace {
 /// is emitted explicitly (defaults included), so the parse(to_json()) round
 /// trip restores every field bit-for-bit instead of relying on the two
 /// sides agreeing about defaults.
-json::Value config_to_json(const mem::SystemConfig& c) {
+template <class Walk>
+json::Value fields_to_json(Walk&& walk) {
   json::Value v;
-  v.set("tiles", c.tiles);
-  v.set("mesh_x", c.mesh_x);
-  v.set("mesh_y", c.mesh_y);
-  v.set("mem_controllers", c.mem_controllers);
-  v.set("line_bytes", c.line_bytes);
-  v.set("l1_bytes", c.l1_bytes);
-  v.set("l1_assoc", c.l1_assoc);
-  v.set("l2_bank_bytes", c.l2_bank_bytes);
-  v.set("l2_assoc", c.l2_assoc);
-  v.set("spm_bytes", c.spm_bytes);
-  v.set("dma_chunk_bytes", c.dma_chunk_bytes);
-  v.set("lat_l1_hit", c.lat_l1_hit);
-  v.set("lat_spm_hit", c.lat_spm_hit);
-  v.set("lat_l2_hit", c.lat_l2_hit);
-  v.set("lat_dir", c.lat_dir);
-  v.set("lat_filter", c.lat_filter);
-  v.set("lat_router", c.lat_router);
-  v.set("lat_link", c.lat_link);
-  v.set("e_l1_hit", c.e_l1_hit);
-  v.set("e_l1_probe", c.e_l1_probe);
-  v.set("e_spm", c.e_spm);
-  v.set("e_l2", c.e_l2);
-  v.set("e_dir", c.e_dir);
-  v.set("e_filter", c.e_filter);
-  v.set("e_flit_hop", c.e_flit_hop);
-  v.set("e_static_per_tile_cycle", c.e_static_per_tile_cycle);
+  walk([&](const char* name, const auto& field, bool = false) {
+    if constexpr (std::is_enum_v<std::remove_cvref_t<decltype(field)>>)
+      v.set(name, mem::to_string(field));
+    else
+      v.set(name, field);
+  });
   return v;
+}
+
+/// The flat backend's knobs are written once, under "memory.flat", not
+/// again under their config-level alias names.
+json::Value config_to_json(const mem::SystemConfig& c) {
+  return fields_to_json([&](auto&& f) {
+    mem::for_each_config_field(c, [&](const char* name, const auto& field) {
+      bool alias = false;
+      mem::for_each_flat_field(c.memory.flat, [&](const char* n, auto&) {
+        alias = alias || std::string_view{n} == name;
+      });
+      if (!alias) f(name, field);
+    });
+  });
 }
 
 /// The "memory" object mirrors parse_memory key for key, defaults
@@ -843,27 +649,11 @@ json::Value config_to_json(const mem::SystemConfig& c) {
 json::Value memory_to_json(const mem::MemoryConfig& m) {
   json::Value v;
   v.set("backend", mem::to_string(m.kind));
-  json::Value f;
-  f.set("lat_dram", m.flat.lat_dram);
-  f.set("dram_cycles_per_line", m.flat.dram_cycles_per_line);
-  f.set("e_dram_line", m.flat.e_dram_line);
-  v.set("flat", std::move(f));
-  json::Value b;
-  b.set("channels", m.banked.channels);
-  b.set("banks_per_channel", m.banked.banks_per_channel);
-  b.set("mapping", mem::to_string(m.banked.mapping));
-  b.set("row_bytes", m.banked.row_bytes);
-  b.set("t_rp", m.banked.t_rp);
-  b.set("t_rcd", m.banked.t_rcd);
-  b.set("t_cas", m.banked.t_cas);
-  b.set("line_cycles", m.banked.line_cycles);
-  b.set("refresh_interval", m.banked.refresh_interval);
-  b.set("refresh_cycles", m.banked.refresh_cycles);
-  b.set("dma_cycles_per_line", m.banked.dma_cycles_per_line);
-  b.set("e_line", m.banked.e_line);
-  b.set("e_activate", m.banked.e_activate);
-  b.set("e_refresh", m.banked.e_refresh);
-  v.set("banked", std::move(b));
+  v.set("flat", fields_to_json(
+                    [&](auto&& f) { mem::for_each_flat_field(m.flat, f); }));
+  v.set("banked", fields_to_json([&](auto&& f) {
+          mem::for_each_banked_field(m.banked, f);
+        }));
   return v;
 }
 
@@ -881,10 +671,10 @@ json::Value program_to_json(const ProgramSpec& p,
   const auto region_name = [&](std::size_t idx) {
     return json::Value{regions[idx].name};
   };
+  v.set("generator", to_string(p.kind));
+  if (!p.cores.empty()) v.set("cores", cores_to_json(p.cores));
   switch (p.kind) {
     case GenKind::scripted: {
-      v.set("generator", "scripted");
-      if (!p.cores.empty()) v.set("cores", cores_to_json(p.cores));
       json::Value phases;
       for (const auto& ph : p.phases) {
         json::Value pv;
@@ -894,10 +684,7 @@ json::Value program_to_json(const ProgramSpec& p,
         for (const auto& st : ph.streams) {
           json::Value sv;
           sv.set("region", region_name(st.region));
-          sv.set("kind", st.kind == kern::StreamKind::linear ? "linear"
-                         : st.kind == kern::StreamKind::random
-                             ? "random"
-                             : "random_rmw");
+          sv.set("kind", kern::to_string(st.kind));
           sv.set("store", st.store);
           if (st.ref) sv.set("class", mem::to_string(*st.ref));
           sv.set("start", static_cast<double>(st.start));
@@ -913,8 +700,6 @@ json::Value program_to_json(const ProgramSpec& p,
       break;
     }
     case GenKind::zipf:
-      v.set("generator", "zipf");
-      if (!p.cores.empty()) v.set("cores", cores_to_json(p.cores));
       v.set("region", region_name(p.region));
       v.set("slice", slice_str(p.per_core_slice));
       if (p.ref) v.set("class", mem::to_string(*p.ref));
@@ -926,8 +711,6 @@ json::Value program_to_json(const ProgramSpec& p,
       v.set("gap_cycles", p.gap_cycles);
       break;
     case GenKind::pointer_chase:
-      v.set("generator", "pointer_chase");
-      if (!p.cores.empty()) v.set("cores", cores_to_json(p.cores));
       v.set("region", region_name(p.region));
       v.set("slice", slice_str(p.per_core_slice));
       if (p.ref) v.set("class", mem::to_string(*p.ref));
@@ -936,8 +719,6 @@ json::Value program_to_json(const ProgramSpec& p,
       v.set("gap_cycles", p.gap_cycles);
       break;
     case GenKind::stencil:
-      v.set("generator", "stencil");
-      if (!p.cores.empty()) v.set("cores", cores_to_json(p.cores));
       v.set("in", region_name(p.region));
       v.set("out", region_name(p.out_region));
       v.set("sweeps", p.sweeps);
@@ -947,8 +728,6 @@ json::Value program_to_json(const ProgramSpec& p,
       v.set("gap_cycles", p.gap_cycles);
       break;
     case GenKind::producer_consumer:
-      v.set("generator", "producer_consumer");
-      if (!p.cores.empty()) v.set("cores", cores_to_json(p.cores));
       v.set("region", region_name(p.region));
       if (p.ref) v.set("class", mem::to_string(*p.ref));
       v.set("iterations", static_cast<double>(p.iterations));
@@ -957,8 +736,6 @@ json::Value program_to_json(const ProgramSpec& p,
       break;
     case GenKind::bursty:
       // Note: bursty has no gap_cycles key (gap_on/gap_off cover it).
-      v.set("generator", "bursty");
-      if (!p.cores.empty()) v.set("cores", cores_to_json(p.cores));
       v.set("region", region_name(p.region));
       v.set("slice", slice_str(p.per_core_slice));
       if (p.ref) v.set("class", mem::to_string(*p.ref));

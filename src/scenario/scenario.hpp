@@ -15,6 +15,7 @@
 /// with a JSON-path context (the json layer supplies line/column for
 /// syntax errors), because scenario files are edited by hand.
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -32,8 +33,14 @@ namespace raa::scen {
 /// shape, generalised to arbitrary workloads).
 enum class ScenarioMode : std::uint8_t { cache_only, hybrid, compare };
 
-const char* to_string(ScenarioMode m) noexcept;
-std::optional<ScenarioMode> scenario_mode_from(std::string_view s) noexcept;
+constexpr std::array<EnumName<ScenarioMode>, 3> enum_names(
+    ScenarioMode) noexcept {
+  return {{{ScenarioMode::cache_only, "cache_only"},
+           {ScenarioMode::hybrid, "hybrid"},
+           {ScenarioMode::compare, "compare"}}};
+}
+
+inline const char* to_string(ScenarioMode m) noexcept { return enum_name(m); }
 
 /// A declared data region. Exactly one of `bytes` (one shared extent) or
 /// `bytes_per_core` (tiles consecutive per-core slices) is non-zero;
@@ -80,6 +87,16 @@ enum class GenKind : std::uint8_t {
   producer_consumer,
   bursty,
 };
+
+constexpr std::array<EnumName<GenKind>, 6> enum_names(GenKind) noexcept {
+  return {{{GenKind::scripted, "scripted"}, {GenKind::zipf, "zipf"},
+           {GenKind::pointer_chase, "pointer_chase"},
+           {GenKind::stencil, "stencil"},
+           {GenKind::producer_consumer, "producer_consumer"},
+           {GenKind::bursty, "bursty"}}};
+}
+
+inline const char* to_string(GenKind k) noexcept { return enum_name(k); }
 
 /// One "programs" entry: which cores it covers and either a scripted
 /// phase list or the parameters of a generator. A flat struct (unused

@@ -3,6 +3,7 @@
 #include <bit>
 #include <cstdio>
 #include <cstring>
+#include <type_traits>
 
 #include "common/check.hpp"
 
@@ -202,31 +203,16 @@ const char* validate_stream(const TraceData::CoreStream& cs) {
   return nullptr;
 }
 
-/// SystemConfig fields in serialization order. Keeping the walk in one
-/// template means writer and reader cannot drift apart.
+/// Route one of memsim/config.hpp's field lists to a u32 or f64 codec, in
+/// list order — the writer and reader cannot drift apart. The banked
+/// mapping is not part of trace version 2.
 template <typename U32, typename F64>
-void walk_config(mem::SystemConfig& c, U32&& u32, F64&& f64) {
-  u32(c.tiles), u32(c.mesh_x), u32(c.mesh_y), u32(c.mem_controllers);
-  u32(c.line_bytes), u32(c.l1_bytes), u32(c.l1_assoc), u32(c.l2_bank_bytes);
-  u32(c.l2_assoc), u32(c.spm_bytes), u32(c.dma_chunk_bytes);
-  u32(c.lat_l1_hit), u32(c.lat_spm_hit), u32(c.lat_l2_hit), u32(c.lat_dir);
-  u32(c.lat_filter), u32(c.memory.flat.lat_dram), u32(c.lat_router);
-  u32(c.lat_link), u32(c.memory.flat.dram_cycles_per_line);
-  f64(c.e_l1_hit), f64(c.e_l1_probe), f64(c.e_spm), f64(c.e_l2);
-  f64(c.e_dir), f64(c.e_filter), f64(c.memory.flat.e_dram_line),
-      f64(c.e_flit_hop);
-  f64(c.e_static_per_tile_cycle);
-}
-
-/// Banked-backend parameters in serialization order (trace version 2).
-/// Zero is legal for the t_* and refresh fields, so these stay out of the
-/// walk_config nonzero sanity sweep and get their own range check.
-template <typename U32, typename F64>
-void walk_banked(mem::BankedBackendParams& b, U32&& u32, F64&& f64) {
-  u32(b.channels), u32(b.banks_per_channel), u32(b.row_bytes);
-  u32(b.t_rp), u32(b.t_rcd), u32(b.t_cas), u32(b.line_cycles);
-  u32(b.refresh_interval), u32(b.refresh_cycles), u32(b.dma_cycles_per_line);
-  f64(b.e_line), f64(b.e_activate), f64(b.e_refresh);
+auto by_type(U32 u32, F64 f64) {
+  return [=](const char*, auto& v, bool = false) {
+    using T = std::remove_cvref_t<decltype(v)>;
+    if constexpr (std::is_same_v<T, double>) f64(v);
+    else if constexpr (std::is_same_v<T, unsigned>) u32(v);
+  };
 }
 
 }  // namespace
@@ -236,13 +222,13 @@ bool TraceData::write_file(const std::string& path, std::string* error) const {
   for (const char m : kMagic) buf.push_back(static_cast<std::uint8_t>(m));
   put_u32(buf, kTraceVersion);
   mem::SystemConfig c = config;
-  walk_config(
-      c, [&](unsigned v) { put_u32(buf, v); },
-      [&](double v) { put_f64(buf, v); });
+  mem::for_each_config_field(
+      c, by_type([&](unsigned v) { put_u32(buf, v); },
+                 [&](double v) { put_f64(buf, v); }));
   put_u32(buf, static_cast<std::uint32_t>(c.memory.kind));
-  walk_banked(
-      c.memory.banked, [&](unsigned v) { put_u32(buf, v); },
-      [&](double v) { put_f64(buf, v); });
+  mem::for_each_banked_field(
+      c.memory.banked, by_type([&](unsigned v) { put_u32(buf, v); },
+                               [&](double v) { put_f64(buf, v); }));
   buf.push_back(mode == mem::HierarchyMode::hybrid ? 1 : 0);
   put_str(buf, name);
   put_u32(buf, static_cast<std::uint32_t>(regions.size()));
@@ -303,23 +289,27 @@ std::optional<TraceData> TraceData::read_file(const std::string& path,
 
   TraceData t;
   bool ok = true;
-  walk_config(
-      t.config, [&](unsigned& v) {
-        std::uint32_t x = 0;
-        ok = ok && rd.u32(x);
-        v = x;
-      },
-      [&](double& v) { ok = ok && rd.f64(v); });
+  const auto read_u32 = [&](unsigned& v) {
+    std::uint32_t x = 0;
+    ok = ok && rd.u32(x);
+    v = x;
+  };
+  const auto read_f64 = [&](double& v) { ok = ok && rd.f64(v); };
+  mem::for_each_config_field(t.config, by_type(read_u32, read_f64));
   if (!ok) return fail(rd.err);
   // Config sanity: these fields come from an untrusted file but feed
   // straight into System setup (divisions, mesh construction). Apply the
   // same rules the scenario parser enforces.
   {
     bool bad = false;
-    walk_config(
-        t.config, [&](unsigned& v) { bad = bad || v == 0; },
-        [&](double& v) { bad = bad || !(v >= 0.0); });
+    mem::for_each_config_field(
+        t.config, by_type([&](unsigned& v) { bad = bad || v == 0; },
+                          [&](double& v) { bad = bad || !(v >= 0.0); }));
     if (bad) return fail("config field out of range (zero or negative)");
+    if (t.config.tiles > mem::kMaxTiles)
+      return fail("config tiles (" + std::to_string(t.config.tiles) +
+                  ") exceeds the " + std::to_string(mem::kMaxTiles) +
+                  "-tile limit");
     if (t.config.tiles != t.config.mesh_x * t.config.mesh_y)
       return fail("config tiles != mesh_x * mesh_y");
     if (t.config.dma_chunk_bytes % t.config.line_bytes != 0)
@@ -329,13 +319,8 @@ std::optional<TraceData> TraceData::read_file(const std::string& path,
   if (!rd.u32(backend_kind)) return fail(rd.err);
   if (backend_kind > 1) return fail("bad memory backend kind");
   t.config.memory.kind = static_cast<mem::MemBackendKind>(backend_kind);
-  walk_banked(
-      t.config.memory.banked, [&](unsigned& v) {
-        std::uint32_t x = 0;
-        ok = ok && rd.u32(x);
-        v = x;
-      },
-      [&](double& v) { ok = ok && rd.f64(v); });
+  mem::for_each_banked_field(t.config.memory.banked,
+                             by_type(read_u32, read_f64));
   if (!ok) return fail(rd.err);
   {
     const mem::BankedBackendParams& b = t.config.memory.banked;

@@ -16,6 +16,8 @@
 #include "fleet/job.hpp"
 #include "fleet/manifest.hpp"
 #include "report/json.hpp"
+#include "report/report.hpp"
+#include "scenario/trace.hpp"
 
 namespace {
 
@@ -26,6 +28,9 @@ using raa::fleet::JobStatus;
 using raa::fleet::Manifest;
 using raa::fleet::run_fleet;
 using raa::json::Value;
+using raa::mem::HierarchyMode;
+using raa::mem::MemBackendKind;
+using raa::scen::ScenarioMode;
 
 // --- fixtures -----------------------------------------------------------
 
@@ -106,14 +111,14 @@ TEST(Manifest, ParsesAndRoundTrips) {
   ASSERT_TRUE(m) << error;
   EXPECT_EQ(m->name, "demo");
   EXPECT_EQ(m->seed, 9u);
-  EXPECT_EQ(m->defaults.mode, "hybrid");
+  EXPECT_EQ(m->defaults.mode, ScenarioMode::hybrid);
   EXPECT_EQ(m->defaults.retries, 2u);
   EXPECT_EQ(m->defaults.timeout_ms, 500u);
   ASSERT_EQ(m->jobs.size(), 3u);
   EXPECT_EQ(m->jobs[1].trace, "b.raat");
   EXPECT_EQ(m->jobs[1].limits.shards, 4u);
   EXPECT_EQ(m->jobs[1].seed, 3u);
-  EXPECT_EQ(m->jobs[2].limits.backend, "banked");
+  EXPECT_EQ(m->jobs[2].limits.backend, MemBackendKind::banked);
 
   // to_json() -> parse() is the identity.
   const auto again = Manifest::parse(m->to_json(), &error);
@@ -152,14 +157,14 @@ TEST(Manifest, RejectsInvalidDocumentsWithJsonPaths) {
 
 TEST(Manifest, LimitsLayerJobOverDefaultsOverFallback) {
   raa::fleet::JobLimits job, defaults, fallback;
-  defaults.mode = "hybrid";
+  defaults.mode = ScenarioMode::hybrid;
   defaults.retries = 2;
-  fallback.mode = "cache_only";
+  fallback.mode = ScenarioMode::cache_only;
   fallback.shards = 8;
   fallback.timeout_ms = 99;
   job.timeout_ms = 5;
   const auto eff = job.or_else(defaults).or_else(fallback);
-  EXPECT_EQ(eff.mode, "hybrid");     // defaults beat fallback
+  EXPECT_EQ(eff.mode, ScenarioMode::hybrid);  // defaults beat fallback
   EXPECT_EQ(eff.retries, 2u);        // from defaults
   EXPECT_EQ(eff.shards, 8u);         // only fallback sets it
   EXPECT_EQ(eff.timeout_ms, 5u);     // job entry wins
@@ -403,6 +408,93 @@ TEST(FleetEquivalence, InformationalJobWallSpansCoverManifestInOrder) {
   // And the gated index stays free of it: stripping informational removes
   // every host-dependent field (the byte-determinism contract upstream).
   EXPECT_EQ(gated_index(res).dump(2).find("job_wall_ms"), std::string::npos);
+}
+
+// --- the shared job path: load_input / record_result ----------------------
+
+/// The kind load_input throws for `job` under `settings`; none on success.
+ErrorKind load_error(const raa::fleet::JobSpec& job,
+                     const raa::fleet::JobSettings& settings) {
+  try {
+    raa::fleet::load_input(job, settings);
+  } catch (const raa::fleet::JobError& e) {
+    return e.kind();
+  }
+  return ErrorKind::none;
+}
+
+/// The params object load_input + record_result write for `job`.
+Value result_params(const raa::fleet::JobSpec& job,
+                    const raa::fleet::JobSettings& settings) {
+  const raa::fleet::Input in = raa::fleet::load_input(job, settings);
+  const std::vector<raa::mem::Metrics> results(in.modes.size());
+  raa::report::RunReport run{1};
+  raa::fleet::record_result(run.benchmark(job.id, "unit"), in, 1, results);
+  return *run.to_json().find("benchmarks")->as_array()[0].find("params");
+}
+
+TEST(LoadInput, TraceJobRejectsCompareAsParse) {
+  raa::scen::TraceData t;
+  t.config.tiles = 4;
+  t.config.mesh_x = 2;
+  t.config.mesh_y = 2;
+  t.mode = HierarchyMode::cache_only;
+  t.cores.resize(4);
+  raa::fleet::JobSpec job;
+  job.id = "replay";
+  job.trace = temp_file("trace");
+  std::string error;
+  ASSERT_TRUE(t.write_file(job.trace, &error)) << error;
+
+  raa::fleet::JobSettings settings;
+  EXPECT_EQ(raa::fleet::load_input(job, settings).modes,
+            std::vector{HierarchyMode::cache_only});  // the trace's own
+  settings.mode = ScenarioMode::hybrid;
+  EXPECT_EQ(raa::fleet::load_input(job, settings).modes,
+            std::vector{HierarchyMode::hybrid});
+  settings.mode = ScenarioMode::compare;
+  EXPECT_EQ(load_error(job, settings), ErrorKind::parse);
+}
+
+TEST(LoadInput, UnreferencedRegionIsDegenerate) {
+  raa::fleet::JobSpec job;
+  job.id = "orphan";
+  job.scenario = temp_file("orphan");
+  std::ofstream{job.scenario} << R"({
+  "name": "orphan",
+  "config": {"tiles": 4, "mesh_x": 2, "mesh_y": 2},
+  "regions": [{"name": "used", "bytes_per_core": 4096, "class": "strided"},
+              {"name": "unused", "bytes": 4096, "class": "strided"}],
+  "programs": [{"generator": "zipf", "region": "used", "accesses": 10}]
+})";
+  EXPECT_EQ(load_error(job, {}), ErrorKind::degenerate);
+}
+
+TEST(LoadInput, SeedOverridesOnlyWhenSet) {
+  raa::fleet::JobSpec job;
+  job.id = "seeded";
+  job.scenario = write_scenario("seeded", 50, "hybrid");  // seed 5
+  raa::fleet::JobSettings settings;
+  EXPECT_EQ(raa::fleet::load_input(job, settings).scenario.seed, 5u);
+  EXPECT_EQ(result_params(job, settings).find("seed")->as_string(), "5");
+  settings.seed = 42;
+  EXPECT_EQ(raa::fleet::load_input(job, settings).scenario.seed, 42u);
+  EXPECT_EQ(result_params(job, settings).find("seed")->as_string(), "42");
+}
+
+TEST(RecordResult, WritesMappingOnlyForBankedInputs) {
+  raa::fleet::JobSpec job;
+  job.id = "mapped";
+  job.scenario = write_scenario("mapped", 50, "hybrid");  // flat backend
+  raa::fleet::JobSettings settings;
+  const Value flat = result_params(job, settings);
+  EXPECT_EQ(flat.find("backend")->as_string(), "flat");
+  EXPECT_EQ(flat.find("mapping"), nullptr);
+  settings.backend = MemBackendKind::banked;
+  const Value banked = result_params(job, settings);
+  EXPECT_EQ(banked.find("backend")->as_string(), "banked");
+  ASSERT_NE(banked.find("mapping"), nullptr);
+  EXPECT_EQ(banked.find("mapping")->as_string(), "block");
 }
 
 }  // namespace

@@ -97,6 +97,40 @@ TEST(FuzzGen, OracleBatteryAgreesOnGeneratedScenarios) {
   }
 }
 
+TEST(FuzzPairs, NamesTheFirstDivergentFieldAndReportsSerialMetrics) {
+  // The pair check raa_sim --selfcheck and the oracle battery share.
+  std::string err;
+  const auto doc = raa::json::Value::parse(R"({
+    "name": "pairs", "mode": "hybrid", "seed": 1,
+    "config": {"tiles": 4, "mesh_x": 2, "mesh_y": 2},
+    "regions": [{"name": "r", "class": "random_noalias",
+                 "bytes_per_core": 4096}],
+    "programs": [{"generator": "zipf", "region": "r", "accesses": 200}]
+  })", &err);
+  ASSERT_TRUE(doc) << err;
+  const auto s = Scenario::parse(*doc, &err);
+  ASSERT_TRUE(s) << err;
+  const auto mode = raa::mem::HierarchyMode::hybrid;
+
+  raa::mem::Metrics serial;
+  EXPECT_FALSE(raa::fuzz::check_pairs(
+      s->config, mode, [&] { return s->instantiate(); }, 2, &serial));
+  EXPECT_GT(serial.accesses, 0u);
+
+  // Every workload after the first draws a different random stream, so
+  // the sharded leg diverges and the report names a Metrics field.
+  std::uint64_t calls = 0;
+  const auto drifting = [&] {
+    Scenario copy = *s;
+    copy.seed += calls++;
+    return copy.instantiate();
+  };
+  const auto div = raa::fuzz::check_pairs(s->config, mode, drifting, 2);
+  ASSERT_TRUE(div);
+  EXPECT_EQ(div->oracle, raa::fuzz::Oracle::shards);
+  EXPECT_NE(div->detail.find(" vs "), std::string::npos) << div->detail;
+}
+
 // --- marker injection and shrinking --------------------------------------
 
 TEST(FuzzMarker, InjectionKeepsScenarioParseValid) {

@@ -235,11 +235,11 @@ TEST(ObsCounters, SnapshotJsonIsSortedAndComplete) {
 
 TEST(TraceExport, ClockParserRoundTrips) {
   using raa::obs::TraceClock;
-  EXPECT_EQ(obs::parse_trace_clock("sim"), TraceClock::sim);
-  EXPECT_EQ(obs::parse_trace_clock("host"), TraceClock::host);
-  EXPECT_EQ(obs::parse_trace_clock("dual"), TraceClock::dual);
-  EXPECT_FALSE(obs::parse_trace_clock("wall").has_value());
-  EXPECT_STREQ(obs::trace_clock_str(TraceClock::dual), "dual");
+  EXPECT_EQ(raa::from_string<TraceClock>("sim"), TraceClock::sim);
+  EXPECT_EQ(raa::from_string<TraceClock>("host"), TraceClock::host);
+  EXPECT_EQ(raa::from_string<TraceClock>("dual"), TraceClock::dual);
+  EXPECT_FALSE(raa::from_string<TraceClock>("wall").has_value());
+  EXPECT_STREQ(obs::to_string(TraceClock::dual), "dual");
 }
 
 /// Hand-built trace: one sim B/E pair, one sim complete, one host-only

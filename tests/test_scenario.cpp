@@ -366,6 +366,63 @@ TEST(ScenarioParse, RejectsOversizedPointerChaseSlice) {
       << err;
 }
 
+TEST(ScenarioParse, RejectsMoreThan64Tiles) {
+  // The directory's sharer mask caps the chip at kMaxTiles: a larger mesh
+  // is a parse error with a path, not a CheckError after every core's
+  // program has been built.
+  const auto parse = [](unsigned mesh_x, unsigned mesh_y, std::string* err) {
+    const std::string doc =
+        R"({"name": "t", "config": {"tiles": )" +
+        std::to_string(mesh_x * mesh_y) + R"(, "mesh_x": )" +
+        std::to_string(mesh_x) + R"(, "mesh_y": )" + std::to_string(mesh_y) +
+        R"(}, "regions": [{"name": "r", "bytes_per_core": 4096,
+                           "class": "random_noalias"}],
+          "programs": [{"generator": "zipf", "region": "r",
+                        "accesses": 10}]})";
+    const auto v = raa::json::Value::parse(doc, err);
+    EXPECT_TRUE(v.has_value()) << *err;
+    return v ? Scenario::parse(*v, err) : std::nullopt;
+  };
+  std::string ok_err, err;
+  EXPECT_TRUE(parse(8, 8, &ok_err).has_value()) << ok_err;
+  EXPECT_FALSE(parse(9, 8, &err).has_value());
+  EXPECT_NE(err.find("scenario.config.tiles"), std::string::npos) << err;
+  EXPECT_NE(err.find("64-tile limit"), std::string::npos) << err;
+}
+
+TEST(EnumNames, EveryEnumeratorRoundTripsAndUnknownNamesFail) {
+  using raa::from_string;
+  using raa::mem::BankMapping;
+  using raa::mem::MemBackendKind;
+  using raa::scen::ScenarioMode;
+  for (const auto e : {HierarchyMode::cache_only, HierarchyMode::hybrid})
+    EXPECT_EQ(from_string<HierarchyMode>(raa::mem::to_string(e)), e);
+  for (const auto e : {MemBackendKind::flat, MemBackendKind::banked})
+    EXPECT_EQ(from_string<MemBackendKind>(raa::mem::to_string(e)), e);
+  for (const auto e : {BankMapping::block, BankMapping::xor_hash})
+    EXPECT_EQ(from_string<BankMapping>(raa::mem::to_string(e)), e);
+  for (const auto e : {ScenarioMode::cache_only, ScenarioMode::hybrid,
+                       ScenarioMode::compare})
+    EXPECT_EQ(from_string<ScenarioMode>(raa::scen::to_string(e)), e);
+  for (const auto e : {RefClass::strided, RefClass::random_noalias,
+                       RefClass::random_unknown})
+    EXPECT_EQ(from_string<RefClass>(raa::mem::to_string(e)), e);
+  for (const auto e :
+       {StreamKind::linear, StreamKind::random, StreamKind::random_rmw})
+    EXPECT_EQ(from_string<StreamKind>(raa::kern::to_string(e)), e);
+  using raa::scen::GenKind;
+  for (const auto e : {GenKind::scripted, GenKind::zipf,
+                       GenKind::pointer_chase, GenKind::stencil,
+                       GenKind::producer_consumer, GenKind::bursty})
+    EXPECT_EQ(from_string<GenKind>(raa::scen::to_string(e)), e);
+  EXPECT_EQ(from_string<HierarchyMode>("compare"), std::nullopt);
+  EXPECT_EQ(from_string<MemBackendKind>("bankd"), std::nullopt);
+  EXPECT_EQ(from_string<BankMapping>("xor_hash"), std::nullopt);
+  EXPECT_EQ(from_string<ScenarioMode>("hybird"), std::nullopt);
+  EXPECT_EQ(raa::unknown_name_error<BankMapping>("mapping", "x"),
+            "unknown mapping 'x' (want block or xor)");
+}
+
 TEST(ScenarioParse, CapsPointerChaseElementsSummedOverCores) {
   // Every core materialises its own successor table, so the limit caps
   // elements x cores summed over all pointer_chase programs: 16 cores of
@@ -533,6 +590,16 @@ TEST(TraceRoundTrip, ReadRejectsInsaneConfigs) {
   EXPECT_FALSE(TraceData::read_file(path, &err).has_value());
   EXPECT_NE(err.find("does not match config tiles"), std::string::npos)
       << err;
+
+  TraceData t3;  // a 9x8 mesh: past the directory's 64-tile limit
+  t3.config = small_cfg();
+  t3.config.tiles = 72;
+  t3.config.mesh_x = 9;
+  t3.config.mesh_y = 8;
+  t3.cores.resize(t3.config.tiles);
+  ASSERT_TRUE(t3.write_file(path, &err)) << err;
+  EXPECT_FALSE(TraceData::read_file(path, &err).has_value());
+  EXPECT_NE(err.find("64-tile limit"), std::string::npos) << err;
 }
 
 // --------------------------------------------------------------------------

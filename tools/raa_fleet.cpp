@@ -89,21 +89,22 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "raa_fleet: %s\n", error.c_str());
     return raa::kExitUsage;
   }
-  if (cli.has("seed")) man->seed = cli.get_int("seed", 1);
+  std::optional<std::uint64_t> seed;
+  if (!cli.get_uint<std::uint64_t>("seed", 0, seed)) return usage(argv[0]);
+  if (seed) man->seed = *seed;
 
   FleetOptions opt;
   opt.manifest = std::move(*man);
   opt.out_dir = cli.get_string("out", "fleet_out");
   opt.jobs = static_cast<unsigned>(cli.get_int("jobs", 1));
-  if (cli.has("mode")) opt.fallback.mode = cli.get_string("mode", "");
-  if (cli.has("backend")) opt.fallback.backend = cli.get_string("backend", "");
-  if (cli.has("shards"))
-    opt.fallback.shards = static_cast<unsigned>(cli.get_int("shards", 1));
-  if (cli.has("timeout-ms"))
-    opt.fallback.timeout_ms =
-        static_cast<std::uint64_t>(cli.get_int("timeout-ms", 0));
-  if (cli.has("retries"))
-    opt.fallback.retries = static_cast<unsigned>(cli.get_int("retries", 0));
+  // The fallbacks follow the manifest's own rules for these keys: a bad
+  // name or number is a usage error before any job runs.
+  if (!cli.get_enum("mode", opt.fallback.mode) ||
+      !cli.get_enum("backend", opt.fallback.backend) ||
+      !cli.get_uint("shards", 1u, opt.fallback.shards) ||
+      !cli.get_uint<std::uint64_t>("timeout-ms", 0, opt.fallback.timeout_ms) ||
+      !cli.get_uint("retries", 0u, opt.fallback.retries))
+    return usage(argv[0]);
   opt.backoff_base_ms =
       static_cast<std::uint64_t>(cli.get_int("backoff-ms", 50));
   opt.backoff_cap_ms =

@@ -58,22 +58,12 @@ int main(int argc, char** argv) try {
   }
 
   raa::fuzz::FuzzOptions opt;
-  const std::int64_t seed = cli.get_int("seed", 1);
-  const std::int64_t budget = cli.get_int("budget-runs", 25);
-  const std::int64_t shards = cli.get_int("shards", 4);
-  const std::int64_t max_accesses =
-      cli.get_int("max-accesses",
-                  static_cast<std::int64_t>(opt.limits.max_accesses));
-  if (seed < 0 || budget < 1 || shards < 2 || max_accesses < 1) {
-    std::fprintf(stderr,
-                 "error: need --seed >= 0, --budget-runs >= 1, --shards >= 2 "
-                 "and --max-accesses >= 1\n");
+  if (!cli.get_uint<std::uint64_t>("seed", 0, opt.seed) ||
+      !cli.get_uint<std::uint64_t>("budget-runs", 1, opt.budget_runs) ||
+      !cli.get_uint("shards", 2u, opt.shards) ||
+      !cli.get_uint<std::uint64_t>("max-accesses", 1,
+                                   opt.limits.max_accesses))
     return usage(argv[0]);
-  }
-  opt.seed = static_cast<std::uint64_t>(seed);
-  opt.budget_runs = static_cast<std::uint64_t>(budget);
-  opt.shards = static_cast<unsigned>(shards);
-  opt.limits.max_accesses = static_cast<std::uint64_t>(max_accesses);
   opt.out_dir = cli.get_string("out", "");
   opt.inject_marker = cli.get_bool("inject-divergence", false);
   opt.emit_manifest = cli.get_bool("emit-manifest", false);

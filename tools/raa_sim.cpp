@@ -1,6 +1,10 @@
 // raa_sim — the scenario driver: loads a declarative scenario file (or a
 // recorded binary trace), runs it through the memory-hierarchy simulator,
-// and emits a BENCH_results-schema JSON report.
+// and emits a BENCH_results-schema JSON report. It is a thin command line
+// over the fleet job path (src/fleet/job.hpp): fleet::load_input resolves
+// the input and the --mode/--backend/--seed overrides exactly as a fleet
+// job does, fleet::record_result writes the report's result block, and
+// --selfcheck runs the fuzzer's determinism pairs (fuzz::check_pairs).
 //
 //   raa_sim --scenario=FILE [--mode=M] [--seed=N] [--shards=N]
 //           [--record=TRACE] [--json=PATH] [--selfcheck] [--quiet]
@@ -16,15 +20,16 @@
 //   --mapping    block | xor — override the banked backend's bank-hash
 //                address mapping (scenario key memory.banked.mapping)
 //   --seed       override the scenario's seed (deterministic re-runs
-//                under a different random stream)
-//   --shards     front-end lanes per System::run (metrics are identical
-//                for every N — see docs/ARCHITECTURE.md)
+//                under a different random stream); a non-negative integer
+//   --shards     front-end lanes per System::run, an integer >= 1
+//                (metrics are identical for every N — see
+//                docs/ARCHITECTURE.md)
 //   --record     write the run's access streams as a self-contained
 //                trace file (requires a single concrete mode)
 //   --selfcheck  prove the determinism contracts for this input: metrics
 //                field-identical for shards=1 vs shards=4, and for an
 //                in-memory record -> replay round trip; exit 1 on any
-//                mismatch
+//                mismatch, naming the first field that differs
 //
 //   --fail-on-marker  test hook for the fuzz suite: exit 1 when the
 //                scenario declares a __diverge_marker region (the
@@ -32,19 +37,17 @@
 //                shrunken repro can be shown to reproduce end to end
 //
 // Exit codes (src/common/exit_codes.hpp — shared by every tool): 0 ok,
-// 1 simulation/selfcheck/write failure, 2 bad usage or unparseable input,
-// 3 degenerate scenario (a region claimed by zero cores — parseable, but
+// 1 simulation/selfcheck/write failure, 2 bad usage, a malformed flag
+// value or an unparseable input (including more than 64 tiles), 3
+// degenerate scenario (a region claimed by zero cores — parseable, but
 // simulating it silently skews the address-space layout for no workload
 // effect).
 
-#include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
-#include <fstream>
-#include <functional>
 #include <iostream>
-#include <memory>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -54,11 +57,10 @@
 #include "obs/counters.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace_export.hpp"
-#include "fleet/job.hpp"  // record_metrics — shared with the fleet engine
-#include "fuzz/genscenario.hpp"  // kMarkerRegionName (header-only use)
+#include "fleet/job.hpp"
+#include "fuzz/oracles.hpp"
 #include "memsim/system.hpp"
 #include "report/report.hpp"
-#include "scenario/scenario.hpp"
 #include "scenario/trace.hpp"
 
 namespace {
@@ -66,16 +68,8 @@ namespace {
 using raa::mem::HierarchyMode;
 using raa::mem::Metrics;
 using raa::mem::System;
-using raa::mem::SystemConfig;
 using raa::mem::Workload;
-using raa::scen::Scenario;
 using raa::scen::TraceData;
-
-Metrics run_once(const SystemConfig& cfg, HierarchyMode mode, Workload& w,
-                 unsigned shards) {
-  System sys{cfg, mode};
-  return sys.run(w, raa::mem::RunOptions{.shards = shards});
-}
 
 int usage(const char* argv0) {
   std::fprintf(
@@ -94,41 +88,6 @@ int usage(const char* argv0) {
   return raa::kExitUsage;
 }
 
-/// Verify the shards=1 vs shards=4 and record->replay contracts for one
-/// (make_workload, mode) pair. Returns false (with a stderr diagnostic) on
-/// any metrics mismatch.
-template <typename MakeWorkload>
-bool selfcheck_mode(const SystemConfig& cfg, HierarchyMode mode,
-                    const MakeWorkload& make, bool check_replay) {
-  auto w1 = make();
-  TraceData trace;
-  if (check_replay) raa::scen::record_workload(w1, cfg, mode, trace);
-  const Metrics m1 = run_once(cfg, mode, w1, 1);
-
-  auto w4 = make();
-  const Metrics m4 = run_once(cfg, mode, w4, 4);
-  if (!(m1 == m4)) {
-    std::fprintf(stderr,
-                 "selfcheck FAILED (%s): shards=4 metrics differ from "
-                 "shards=1\n",
-                 raa::mem::to_string(mode));
-    return false;
-  }
-  if (check_replay) {
-    auto replay = raa::scen::make_replay_workload(
-        std::make_shared<const TraceData>(std::move(trace)));
-    const Metrics mr = run_once(cfg, mode, replay, 1);
-    if (!(m1 == mr)) {
-      std::fprintf(stderr,
-                   "selfcheck FAILED (%s): trace replay metrics differ "
-                   "from the recorded run\n",
-                   raa::mem::to_string(mode));
-      return false;
-    }
-  }
-  return true;
-}
-
 /// Write the report, then read it back and re-parse as a schema sanity
 /// check (the scenario-smoke CI tests rely on the emitted file being
 /// machine-readable).
@@ -139,10 +98,7 @@ bool write_and_validate_json(const raa::report::RunReport& run,
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return false;
   }
-  std::ifstream in{path, std::ios::binary};
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  const auto doc = raa::json::Value::parse(ss.str(), &error);
+  const auto doc = raa::json::Value::parse_file(path, &error);
   if (!doc) {
     std::fprintf(stderr, "error: emitted JSON does not re-parse: %s\n",
                  error.c_str());
@@ -169,145 +125,54 @@ int main(int argc, char** argv) try {
     return raa::kExitOk;
   }
 
-  const std::string scenario_path = cli.get_string("scenario", "");
-  const std::string replay_path = cli.get_string("replay", "");
+  raa::fleet::JobSpec job;
+  job.scenario = cli.get_string("scenario", "");
+  job.trace = cli.get_string("replay", "");
   const std::string record_path = cli.get_string("record", "");
   const std::string json_path = cli.get_string("json", "");
   const bool selfcheck = cli.get_bool("selfcheck", false);
   const bool quiet = cli.get_bool("quiet", false);
   const std::string trace_out = cli.get_string("trace-out", "");
-  const auto trace_clock =
-      raa::obs::parse_trace_clock(cli.get_string("trace-clock", "sim"));
-  if (!trace_clock) {
-    std::fprintf(stderr,
-                 "error: --trace-clock must be sim, host or dual\n");
-    return usage(argv[0]);
-  }
-  const auto shards = static_cast<unsigned>(
-      std::max<std::int64_t>(1, cli.get_int("shards", 1)));
 
-  if ((scenario_path.empty()) == (replay_path.empty())) {
+  // Flags are typed and parsed once, here: a malformed value is a usage
+  // error, never a silent fallback to the input's own setting.
+  raa::fleet::JobSettings settings;
+  std::optional<raa::mem::BankMapping> mapping;
+  std::optional<raa::obs::TraceClock> trace_clock = raa::obs::TraceClock::sim;
+  if (!cli.get_enum("trace-clock", trace_clock) ||
+      !cli.get_enum("mode", settings.mode) ||
+      !cli.get_enum("backend", settings.backend) ||
+      !cli.get_enum("mapping", mapping) ||
+      !cli.get_uint<std::uint64_t>("seed", 0, settings.seed) ||
+      !cli.get_uint("shards", 1u, settings.shards))
+    return usage(argv[0]);
+
+  if (job.scenario.empty() == job.trace.empty()) {
     std::fprintf(stderr,
                  "error: give exactly one of --scenario or --replay\n");
     return usage(argv[0]);
   }
-  if (!record_path.empty() && !replay_path.empty()) {
+  if (!record_path.empty() && !job.trace.empty()) {
     std::fprintf(stderr, "error: --record cannot be combined with "
                          "--replay (the trace already exists)\n");
     return usage(argv[0]);
   }
 
-  // Resolve the input into (name, config, modes, make_workload).
-  SystemConfig cfg;
-  std::vector<HierarchyMode> modes;
-  std::string name;
-  std::function<Workload()> make_workload;
-  Scenario scenario;                       // scenario path only
-  std::shared_ptr<const TraceData> trace;  // replay path only
-
-  if (!replay_path.empty()) {
-    std::string error;
-    auto t = TraceData::read_file(replay_path, &error);
-    if (!t) {
-      std::fprintf(stderr, "error: %s\n", error.c_str());
-      return raa::kExitUsage;
-    }
-    trace = std::make_shared<const TraceData>(std::move(*t));
-    cfg = trace->config;
-    name = trace->name.empty() ? "replay" : trace->name;
-    HierarchyMode mode = trace->mode;
-    if (cli.has("mode")) {
-      const std::string ms = cli.get_string("mode", "");
-      if (ms == "cache_only") mode = HierarchyMode::cache_only;
-      else if (ms == "hybrid") mode = HierarchyMode::hybrid;
-      else {
-        std::fprintf(stderr, "error: --mode for --replay must be "
-                             "cache_only or hybrid, got '%s'\n",
-                     ms.c_str());
-        return raa::kExitUsage;
-      }
-    }
-    modes = {mode};
-    make_workload = [&] { return raa::scen::make_replay_workload(trace); };
-  } else {
-    std::string error;
-    auto s = Scenario::load_file(scenario_path, &error);
-    if (!s) {
-      std::fprintf(stderr, "error: %s\n", error.c_str());
-      return raa::kExitUsage;
-    }
-    scenario = std::move(*s);
-    if (cli.has("seed"))
-      scenario.seed = static_cast<std::uint64_t>(
-          cli.get_int("seed", static_cast<std::int64_t>(scenario.seed)));
-    if (cli.has("mode")) {
-      const auto m = raa::scen::scenario_mode_from(cli.get_string("mode", ""));
-      if (!m) {
-        std::fprintf(stderr, "error: --mode must be cache_only, hybrid or "
-                             "compare\n");
-        return raa::kExitUsage;
-      }
-      scenario.mode = *m;
-    }
-    // A declared region no program references is a degenerate scenario:
-    // parse() accepts it (the struct is well-formed) but running it would
-    // silently skew the address-space layout for no workload effect.
-    // Distinct exit code so scripts can tell it from a parse error.
-    if (const auto unref = scenario.first_unreferenced_region()) {
+  raa::fleet::Input in = raa::fleet::load_input(job, settings);
+  if (mapping) in.config.memory.banked.mapping = *mapping;
+  if (cli.get_bool("fail-on-marker", false))
+    if (const auto* r = raa::fuzz::find_marker_region(in.scenario)) {
       std::fprintf(stderr,
-                   "error: %s: scenario.regions[%zu]: region '%s' is "
-                   "declared but referenced by no program (claimed by zero "
-                   "cores)\n",
-                   scenario_path.c_str(), *unref,
-                   scenario.regions[*unref].name.c_str());
-      return raa::kExitBadScenario;
+                   "marker divergence reproduced: region '%s' present in "
+                   "%s\n",
+                   r->name.c_str(), job.scenario.c_str());
+      return raa::kExitFailure;
     }
-    if (cli.get_bool("fail-on-marker", false)) {
-      for (const auto& r : scenario.regions)
-        if (r.name.rfind(raa::fuzz::kMarkerRegionName, 0) == 0) {
-          std::fprintf(stderr,
-                       "marker divergence reproduced: region '%s' present "
-                       "in %s\n",
-                       r.name.c_str(), scenario_path.c_str());
-          return raa::kExitFailure;
-        }
-    }
-    cfg = scenario.config;
-    name = scenario.name;
-    modes = scenario.hierarchy_modes();
-    make_workload = [&] { return scenario.instantiate(); };
-    if (!record_path.empty() && modes.size() != 1) {
-      std::fprintf(stderr,
-                   "error: --record needs a single concrete mode; pass "
-                   "--mode=cache_only or --mode=hybrid\n");
-      return raa::kExitUsage;
-    }
-  }
-  if (cli.has("backend")) {
-    const std::string bs = cli.get_string("backend", "");
-    if (bs == "flat") {
-      cfg.memory.kind = raa::mem::MemBackendKind::flat;
-    } else if (bs == "banked") {
-      cfg.memory.kind = raa::mem::MemBackendKind::banked;
-    } else {
-      std::fprintf(stderr,
-                   "error: --backend must be flat or banked, got '%s'\n",
-                   bs.c_str());
-      return raa::kExitUsage;
-    }
-  }
-  if (cli.has("mapping")) {
-    const std::string ms = cli.get_string("mapping", "");
-    if (ms == "block") {
-      cfg.memory.banked.mapping = raa::mem::BankMapping::block;
-    } else if (ms == "xor") {
-      cfg.memory.banked.mapping = raa::mem::BankMapping::xor_hash;
-    } else {
-      std::fprintf(stderr,
-                   "error: --mapping must be block or xor, got '%s'\n",
-                   ms.c_str());
-      return raa::kExitUsage;
-    }
+  if (!record_path.empty() && in.modes.size() != 1) {
+    std::fprintf(stderr,
+                 "error: --record needs a single concrete mode; pass "
+                 "--mode=cache_only or --mode=hybrid\n");
+    return raa::kExitUsage;
   }
 
   // --- main run(s) --------------------------------------------------------
@@ -319,11 +184,13 @@ int main(int argc, char** argv) try {
   const auto t0 = clock::now();
   std::vector<Metrics> results;
   TraceData recorded;
-  for (std::size_t i = 0; i < modes.size(); ++i) {
-    Workload w = make_workload();
+  for (std::size_t i = 0; i < in.modes.size(); ++i) {
+    Workload w = in.make_workload();
     if (!record_path.empty() && i == 0)
-      raa::scen::record_workload(w, cfg, modes[i], recorded);
-    results.push_back(run_once(cfg, modes[i], w, shards));
+      raa::scen::record_workload(w, in.config, in.modes[i], recorded);
+    System sys{in.config, in.modes[i]};
+    results.push_back(
+        sys.run(w, raa::mem::RunOptions{.shards = settings.shards}));
   }
   const double wall =
       std::chrono::duration<double>(clock::now() - t0).count();
@@ -340,7 +207,7 @@ int main(int argc, char** argv) try {
           "wrote trace %s (%zu events, %llu dropped, clock=%s)\n",
           trace_out.c_str(), obs_trace.events.size(),
           static_cast<unsigned long long>(obs_trace.dropped),
-          raa::obs::trace_clock_str(*trace_clock));
+          raa::obs::to_string(*trace_clock));
   }
 
   if (!record_path.empty()) {
@@ -356,21 +223,23 @@ int main(int argc, char** argv) try {
 
   // --- summary ------------------------------------------------------------
   if (!quiet) {
-    if (replay_path.empty())
+    if (job.trace.empty())
       std::printf("scenario %s: tiles=%u seed=%llu shards=%u\n",
-                  name.c_str(), cfg.tiles,
-                  static_cast<unsigned long long>(scenario.seed), shards);
+                  in.name.c_str(), in.config.tiles,
+                  static_cast<unsigned long long>(in.scenario.seed),
+                  settings.shards);
     else
       std::printf("replaying %s (%s): tiles=%u shards=%u\n",
-                  replay_path.c_str(), name.c_str(), cfg.tiles, shards);
+                  job.trace.c_str(), in.name.c_str(), in.config.tiles,
+                  settings.shards);
     raa::Table t{{"mode", "cycles", "energy pJ", "noc flit-hops",
                   "accesses"}};
-    for (std::size_t i = 0; i < modes.size(); ++i)
-      t.row(raa::mem::to_string(modes[i]), results[i].cycles,
+    for (std::size_t i = 0; i < in.modes.size(); ++i)
+      t.row(raa::mem::to_string(in.modes[i]), results[i].cycles,
             results[i].energy_pj(), results[i].noc_flit_hops,
             static_cast<unsigned long>(results[i].accesses));
     t.print(std::cout);
-    if (modes.size() == 2) {
+    if (in.modes.size() == 2) {
       const Metrics& base = results[0];
       const Metrics& hyb = results[1];
       std::printf("hybrid speedups: time %.3fx, energy %.3fx, NoC %.3fx\n",
@@ -382,45 +251,25 @@ int main(int argc, char** argv) try {
 
   // --- selfcheck ----------------------------------------------------------
   if (selfcheck) {
-    bool ok = true;
-    for (const HierarchyMode mode : modes)
-      ok = selfcheck_mode(cfg, mode, make_workload,
-                          /*check_replay=*/replay_path.empty()) &&
-           ok;
-    if (!ok) return raa::kExitFailure;
-    std::printf("selfcheck OK: shards=1 == shards=4%s for %zu mode%s\n",
-                replay_path.empty() ? " == trace replay" : "", modes.size(),
-                modes.size() == 1 ? "" : "s");
+    const auto make = [&in] { return in.make_workload(); };
+    for (const HierarchyMode mode : in.modes)
+      if (const auto d = raa::fuzz::check_pairs(in.config, mode, make, 4)) {
+        std::fprintf(stderr, "selfcheck FAILED (%s): %s pair differs: %s\n",
+                     raa::mem::to_string(mode),
+                     raa::fuzz::to_string(d->oracle), d->detail.c_str());
+        return raa::kExitFailure;
+      }
+    std::printf("selfcheck OK: shards=1 == shards=4 == trace replay for "
+                "%zu mode%s\n",
+                in.modes.size(), in.modes.size() == 1 ? "" : "s");
   }
 
   // --- machine-readable report -------------------------------------------
   if (!json_path.empty()) {
     raa::report::RunReport run{1};
     run.set_wall_seconds(wall);
-    auto& b = run.benchmark(name, "scenario");
-    b.set_param("tiles", std::to_string(cfg.tiles));
-    b.set_param("shards", std::to_string(shards));
-    b.set_param("backend", raa::mem::to_string(cfg.memory.kind));
-    if (cfg.memory.kind == raa::mem::MemBackendKind::banked)
-      b.set_param("mapping", raa::mem::to_string(cfg.memory.banked.mapping));
-    if (replay_path.empty()) {
-      b.set_param("scenario", scenario_path);
-      b.set_param("mode", raa::scen::to_string(scenario.mode));
-      b.set_param("seed", std::to_string(scenario.seed));
-    } else {
-      b.set_param("trace", replay_path);
-      b.set_param("mode", raa::mem::to_string(modes[0]));
-    }
-    for (std::size_t i = 0; i < modes.size(); ++i)
-      raa::fleet::record_metrics(
-          b, std::string{raa::mem::to_string(modes[i])} + "/", results[i]);
-    if (modes.size() == 2) {
-      b.record("time_x", results[0].cycles / results[1].cycles, "x");
-      b.record("energy_x", results[0].energy_pj() / results[1].energy_pj(),
-               "x");
-      b.record("noc_x",
-               results[0].noc_flit_hops / results[1].noc_flit_hops, "x");
-    }
+    auto& b = run.benchmark(in.name, "scenario");
+    raa::fleet::record_result(b, in, settings.shards, results);
     b.record_info("wall_seconds", wall, "s");
     // Quarantined "obs" section: only attached when a tracing session
     // ran, so untraced reports keep their exact pre-obs bytes.
@@ -430,6 +279,11 @@ int main(int argc, char** argv) try {
       return raa::kExitFailure;
   }
   return raa::kExitOk;
+} catch (const raa::fleet::JobError& e) {
+  // load_input's failures: the one place their kinds become exit codes.
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return e.kind() == raa::fleet::ErrorKind::degenerate ? raa::kExitBadScenario
+                                                      : raa::kExitUsage;
 } catch (const std::exception& e) {
   std::fprintf(stderr, "error: %s\n", e.what());
   return raa::kExitFailure;

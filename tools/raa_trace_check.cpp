@@ -20,130 +20,89 @@
 // reported; all files are checked).
 
 #include <cstdio>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <utility>
 
 #include "common/exit_codes.hpp"
 #include "report/json.hpp"
+#include "report/json_fields.hpp"
 
 namespace {
 
 using raa::json::Value;
 
-/// Validate one trace document; fills `error` and returns false on the
-/// first structural violation.
+/// Validate one trace document; fills `error` ("<json path>: <what>") and
+/// returns false on the first structural violation.
 bool check_trace(const Value& doc, std::string* error) {
+  raa::json::Ctx c{error};
   const Value* other = doc.find("otherData");
-  if (!other || !other->is_object()) {
-    *error = "missing otherData object";
-    return false;
-  }
+  if (!other || !other->is_object())
+    return c.fail("otherData", "missing object");
   const Value* schema = other->find("schema");
-  if (!schema || !schema->is_string() || schema->as_string() != "raa-trace") {
-    *error = "otherData.schema is not \"raa-trace\"";
-    return false;
-  }
+  if (!schema || !schema->is_string() || schema->as_string() != "raa-trace")
+    return c.fail("otherData.schema", "is not \"raa-trace\"");
   const Value* version = other->find("schema_version");
-  if (!version || !version->is_number() || version->as_number() != 1.0) {
-    *error = "otherData.schema_version is not 1";
-    return false;
-  }
+  if (!version || !version->is_number() || version->as_number() != 1.0)
+    return c.fail("otherData.schema_version", "is not 1");
 
   const Value* events = doc.find("traceEvents");
-  if (!events || !events->is_array()) {
-    *error = "missing traceEvents array";
-    return false;
-  }
+  if (!events || !events->is_array())
+    return c.fail("traceEvents", "missing array");
 
   // Open B-span depth per (pid, tid) lane.
   std::map<std::pair<int, int>, long> depth;
   std::size_t i = 0;
   for (const Value& e : events->as_array()) {
-    const std::string at = "traceEvents[" + std::to_string(i++) + "]: ";
-    if (!e.is_object()) {
-      *error = at + "not an object";
-      return false;
-    }
+    const std::string at = "traceEvents[" + std::to_string(i++) + "]";
+    if (!e.is_object()) return c.fail(at, "not an object");
     const Value* ph = e.find("ph");
-    if (!ph || !ph->is_string() || ph->as_string().size() != 1) {
-      *error = at + "missing one-character ph";
-      return false;
-    }
+    if (!ph || !ph->is_string() || ph->as_string().size() != 1)
+      return c.fail(at, "missing one-character ph");
     const char phase = ph->as_string()[0];
     if (phase != 'B' && phase != 'E' && phase != 'X' && phase != 'i' &&
-        phase != 'M') {
-      *error = at + "unknown ph '" + ph->as_string() + "'";
-      return false;
-    }
+        phase != 'M')
+      return c.fail(at, "unknown ph '" + ph->as_string() + "'");
     const Value* pid = e.find("pid");
     const Value* tid = e.find("tid");
-    if (!pid || !pid->is_number() || !tid || !tid->is_number()) {
-      *error = at + "missing numeric pid/tid";
-      return false;
-    }
+    if (!pid || !pid->is_number() || !tid || !tid->is_number())
+      return c.fail(at, "missing numeric pid/tid");
     if (phase == 'M') continue;  // metadata: no ts/name requirements
 
     const Value* name = e.find("name");
-    if (!name || !name->is_string() || name->as_string().empty()) {
-      *error = at + "missing event name";
-      return false;
-    }
+    if (!name || !name->is_string() || name->as_string().empty())
+      return c.fail(at, "missing event name");
     const Value* ts = e.find("ts");
-    if (!ts || !ts->is_number()) {
-      *error = at + "missing numeric ts";
-      return false;
-    }
-    if (phase == 'X') {
-      const Value* dur = e.find("dur");
-      if (!dur || !dur->is_number() || dur->as_number() < 0.0) {
-        *error = at + "complete event without non-negative dur";
-        return false;
-      }
-    }
-    if (phase == 'i') {
-      const Value* scope = e.find("s");
-      if (!scope || !scope->is_string()) {
-        *error = at + "instant event without scope s";
-        return false;
-      }
-    }
+    if (!ts || !ts->is_number()) return c.fail(at, "missing numeric ts");
+    const Value* dur = e.find("dur");
+    if (phase == 'X' && (!dur || !dur->is_number() || dur->as_number() < 0.0))
+      return c.fail(at, "complete event without non-negative dur");
+    const Value* scope = e.find("s");
+    if (phase == 'i' && (!scope || !scope->is_string()))
+      return c.fail(at, "instant event without scope s");
 
     const std::pair<int, int> lane{static_cast<int>(pid->as_number()),
                                    static_cast<int>(tid->as_number())};
     if (phase == 'B') ++depth[lane];
-    if (phase == 'E' && --depth[lane] < 0) {
-      *error = at + "E without matching B on pid " +
-               std::to_string(lane.first) + " tid " +
-               std::to_string(lane.second);
-      return false;
-    }
+    if (phase == 'E' && --depth[lane] < 0)
+      return c.fail(at, "E without matching B on pid " +
+                            std::to_string(lane.first) + " tid " +
+                            std::to_string(lane.second));
   }
-  for (const auto& [lane, d] : depth) {
-    if (d != 0) {
-      *error = std::to_string(d) + " unclosed B span(s) on pid " +
-               std::to_string(lane.first) + " tid " +
-               std::to_string(lane.second);
-      return false;
-    }
-  }
+  for (const auto& [lane, d] : depth)
+    if (d != 0)
+      return c.fail("traceEvents", std::to_string(d) +
+                                       " unclosed B span(s) on pid " +
+                                       std::to_string(lane.first) + " tid " +
+                                       std::to_string(lane.second));
   return true;
 }
 
 bool check_file(const char* path) {
-  std::ifstream in{path};
-  if (!in) {
-    std::fprintf(stderr, "raa_trace_check: cannot open %s\n", path);
-    return false;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
   std::string error;
-  const std::optional<Value> doc = Value::parse(buf.str(), &error);
+  const std::optional<Value> doc = Value::parse_file(path, &error);
   if (!doc) {
-    std::fprintf(stderr, "raa_trace_check: %s: %s\n", path, error.c_str());
+    std::fprintf(stderr, "raa_trace_check: %s\n", error.c_str());
     return false;
   }
   if (!check_trace(*doc, &error)) {
