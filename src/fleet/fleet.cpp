@@ -91,7 +91,9 @@ FleetResult run_fleet(const FleetOptions& opt) {
     res.records[i].seed = *settings[i].seed;
   }
 
-  const unsigned lanes = std::max(1u, opt.jobs);
+  // More lanes than jobs would only start idle workers.
+  const auto lanes = static_cast<unsigned>(
+      std::clamp<std::size_t>(opt.jobs, 1, n));
   exec::Pool pool{lanes};
   exec::Pool::Group group;
 

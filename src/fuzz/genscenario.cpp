@@ -26,40 +26,42 @@ T pick(Rng& rng, std::initializer_list<T> xs) {
   return xs.begin()[rng.below(xs.size())];
 }
 
-/// Mirror of the parser's window computation (scenario.cpp).
-std::uint64_t window_bytes(const RegionSpec& r, bool per_core, unsigned tiles) {
-  return per_core ? r.bytes_per_core
-                  : (r.bytes != 0 ? r.bytes : r.bytes_per_core * tiles);
-}
-
-/// How a stream or generator may address region `r` without tripping the
-/// protocol's safety checks. The invariants (derived from System::run):
+/// Draw a region for `spec` and how it may address it, into the spec's
+/// region, slice and class, without tripping the protocol's safety checks.
+/// The invariants (derived from System::run):
 ///  * an effective-strided access must stay inside the core's own slice of
 ///    a strided bytes_per_core region — anything else overlaps another
 ///    core's SPM chunks and aborts mid-run;
 ///  * a region that is ever SPM-mapped (class strided) must only otherwise
 ///    be accessed through the guarded class (random_unknown): the
 ///    no-alias class asserts the line is unmapped.
-struct AccessChoice {
-  bool per_core = false;
-  std::optional<mem::RefClass> ref;  ///< override; nullopt = region class
-};
-
-AccessChoice choose_access(Rng& rng, const RegionSpec& r) {
-  AccessChoice a;
+template <class S>
+void draw_access(Rng& rng, const std::vector<RegionSpec>& regions, S& spec) {
+  spec.region = rng.below(regions.size());
+  const RegionSpec& r = regions[spec.region];
   if (r.ref == mem::RefClass::strided) {
     if (rng.chance(0.35)) {
-      a.ref = mem::RefClass::random_unknown;  // guarded view of mapped data
-      a.per_core = rng.chance(0.5);
+      spec.ref = mem::RefClass::random_unknown;  // guarded view of mapped data
+      spec.per_core_slice = rng.chance(0.5);
     } else {
-      a.per_core = true;  // SPM-tiled: own slice only
+      spec.per_core_slice = true;  // SPM-tiled: own slice only
     }
   } else {
-    a.per_core = r.bytes_per_core != 0 && rng.chance(0.6);
+    spec.per_core_slice = r.bytes_per_core != 0 && rng.chance(0.6);
     if (rng.chance(0.25))
-      a.ref = rng.chance(0.5) ? mem::RefClass::random_unknown : r.ref;
+      spec.ref = rng.chance(0.5) ? mem::RefClass::random_unknown : r.ref;
   }
-  return a;
+}
+
+/// Does `spec` go through the SPM software cache? Such accesses must stay
+/// load-only: a store write-allocates its chunk (DMA-in skipped), and a
+/// later load of a line the stores never reached trips the System's
+/// spm_valid assertion. Loads, and rmw (whose load leg maps the chunk
+/// with a full DMA fill first), are always safe.
+template <class S>
+bool spm_tiled(const std::vector<RegionSpec>& regions, const S& spec) {
+  return regions[spec.region].ref == mem::RefClass::strided &&
+         spec.per_core_slice && !spec.ref.has_value();
 }
 
 std::uint32_t draw_gap(Rng& rng) {
@@ -112,24 +114,13 @@ ProgramSpec draw_scripted(Rng& rng, const std::vector<RegionSpec>& regions,
     if (max_iters == 0) max_iters = 1;
     for (std::size_t st = 0; st < n_streams; ++st) {
       StreamSpec s;
-      s.region = rng.below(regions.size());
-      const AccessChoice a = choose_access(rng, regions[s.region]);
-      s.per_core_slice = a.per_core;
-      s.ref = a.ref;
+      draw_access(rng, regions, s);
       s.kind = pick(rng, {kern::StreamKind::linear, kern::StreamKind::random,
                           kern::StreamKind::random_rmw});
-      // Effective-strided streams go through the SPM software cache. A
-      // pure-store stream there write-allocates chunks (DMA-in skipped),
-      // and a later load of a line the stores never reached trips the
-      // System's spm_valid assertion. Loads (and rmw, whose load leg maps
-      // the chunk with a full DMA fill first) are always safe — so SPM
-      // streams never get the store flag.
-      const bool spm_tiled = regions[s.region].ref == mem::RefClass::strided &&
-                             s.per_core_slice && !s.ref.has_value();
-      s.store = !spm_tiled && rng.chance(0.4);
+      s.store = !spm_tiled(regions, s) && rng.chance(0.4);
       s.elem_bytes = pick<std::uint32_t>(rng, {4, 8, 16});
       const std::uint64_t window =
-          window_bytes(regions[s.region], s.per_core_slice, tiles);
+          regions[s.region].window(s.per_core_slice, tiles);
       if (s.kind == kern::StreamKind::linear) {
         s.start = s.elem_bytes * rng.below(4);  // < 64 <= any window
         s.stride = s.elem_bytes * (1 + rng.below(3));
@@ -151,21 +142,13 @@ ProgramSpec draw_zipf(Rng& rng, const std::vector<RegionSpec>& regions,
                       const GenLimits& limits) {
   ProgramSpec p;
   p.kind = GenKind::zipf;
-  p.region = rng.below(regions.size());
-  const AccessChoice a = choose_access(rng, regions[p.region]);
-  p.per_core_slice = a.per_core;
-  p.ref = a.ref;
+  draw_access(rng, regions, p);
   p.accesses = 1 + rng.below(limits.max_accesses);
   p.elem_bytes = pick<std::uint32_t>(rng, {4, 8, 16});
   p.hot_fraction = rng.uniform(0.05, 0.5);
   p.hot_weight = rng.uniform(0.5, 0.99);
-  // SPM-tiled accesses must stay load-only: a random store write-allocates
-  // its chunk and a later load of an unwritten line in it would trip the
-  // System's spm_valid assertion (see draw_scripted).
-  const bool zipf_spm = regions[p.region].ref == mem::RefClass::strided &&
-                        p.per_core_slice && !p.ref.has_value();
   p.store_fraction =
-      (zipf_spm || rng.chance(0.5)) ? 0.0 : rng.uniform(0.0, 0.5);
+      (spm_tiled(regions, p) || rng.chance(0.5)) ? 0.0 : rng.uniform(0.0, 0.5);
   p.gap_cycles = draw_gap(rng);
   return p;
 }
@@ -174,10 +157,7 @@ ProgramSpec draw_pointer_chase(Rng& rng, const std::vector<RegionSpec>& regions,
                                const GenLimits& limits) {
   ProgramSpec p;
   p.kind = GenKind::pointer_chase;
-  p.region = rng.below(regions.size());
-  const AccessChoice a = choose_access(rng, regions[p.region]);
-  p.per_core_slice = a.per_core;
-  p.ref = a.ref;
+  draw_access(rng, regions, p);
   p.accesses = 1 + rng.below(limits.max_accesses);
   p.elem_bytes = pick<std::uint32_t>(rng, {4, 8, 16});
   p.gap_cycles = draw_gap(rng);
@@ -271,56 +251,16 @@ ProgramSpec draw_bursty(Rng& rng, const std::vector<RegionSpec>& regions,
                         const GenLimits& limits) {
   ProgramSpec p;
   p.kind = GenKind::bursty;
-  p.region = rng.below(regions.size());
-  const AccessChoice a = choose_access(rng, regions[p.region]);
-  p.per_core_slice = a.per_core;
-  p.ref = a.ref;
+  draw_access(rng, regions, p);
   p.burst_len = 4 + rng.below(61);
   p.bursts =
       1 + rng.below(std::max<std::uint64_t>(limits.max_accesses / p.burst_len, 1));
   p.gap_on = pick<std::uint32_t>(rng, {0, 1, 5});
   p.gap_off = pick<std::uint32_t>(rng, {100, 1000});
-  // Load-only over SPM tiles, for the same reason as draw_zipf.
-  const bool bursty_spm = regions[p.region].ref == mem::RefClass::strided &&
-                          p.per_core_slice && !p.ref.has_value();
   p.store_fraction =
-      (bursty_spm || rng.chance(0.5)) ? 0.0 : rng.uniform(0.0, 0.5);
+      (spm_tiled(regions, p) || rng.chance(0.5)) ? 0.0 : rng.uniform(0.0, 0.5);
   p.elem_bytes = pick<std::uint32_t>(rng, {4, 8, 16});
   return p;
-}
-
-/// Drop every region no program references and remap the survivors'
-/// indices, so generated scenarios always satisfy
-/// first_unreferenced_region() == nullopt.
-void prune_unreferenced_regions(Scenario& s) {
-  std::vector<bool> used(s.regions.size(), false);
-  for (const auto& p : s.programs) {
-    if (p.kind == GenKind::scripted) {
-      for (const auto& ph : p.phases)
-        for (const auto& st : ph.streams) used[st.region] = true;
-    } else {
-      used[p.region] = true;
-      if (p.kind == GenKind::stencil) used[p.out_region] = true;
-    }
-  }
-  if (std::find(used.begin(), used.end(), false) == used.end()) return;
-  std::vector<std::size_t> remap(s.regions.size(), 0);
-  std::vector<RegionSpec> kept;
-  for (std::size_t i = 0; i < s.regions.size(); ++i) {
-    if (!used[i]) continue;
-    remap[i] = kept.size();
-    kept.push_back(std::move(s.regions[i]));
-  }
-  s.regions = std::move(kept);
-  for (auto& p : s.programs) {
-    if (p.kind == GenKind::scripted) {
-      for (auto& ph : p.phases)
-        for (auto& st : ph.streams) st.region = remap[st.region];
-    } else {
-      p.region = remap[p.region];
-      if (p.kind == GenKind::stencil) p.out_region = remap[p.out_region];
-    }
-  }
 }
 
 }  // namespace
@@ -427,7 +367,7 @@ scen::Scenario generate_scenario(std::uint64_t seed, std::uint64_t index,
     s.programs.push_back(std::move(p));
   }
 
-  prune_unreferenced_regions(s);
+  s.drop_unreferenced_regions();
   return s;
 }
 
@@ -493,7 +433,7 @@ void inject_marker_divergence(scen::Scenario& s) {
   }
   p.cores = {core};
   s.programs.push_back(std::move(p));
-  if (dropped_donor) prune_unreferenced_regions(s);
+  if (dropped_donor) s.drop_unreferenced_regions();
 }
 
 }  // namespace raa::fuzz

@@ -1,6 +1,7 @@
 #include "fuzz/shrink.hpp"
 
 #include <algorithm>
+#include <type_traits>
 #include <vector>
 
 namespace raa::fuzz {
@@ -21,36 +22,27 @@ bool parse_valid(const Scenario& c) {
 
 std::uint64_t halve(std::uint64_t x) { return std::max<std::uint64_t>(x / 2, 1); }
 
-/// Drop every region no program references (repro files must pass the
-/// drivers' claimed-by-zero-cores check) and remap surviving indices.
-void prune_unreferenced(Scenario& s) {
-  std::vector<bool> used(s.regions.size(), false);
-  for (const auto& p : s.programs) {
-    if (p.kind == GenKind::scripted) {
-      for (const auto& ph : p.phases)
-        for (const auto& st : ph.streams) used[st.region] = true;
-    } else {
-      used[p.region] = true;
-      if (p.kind == GenKind::stencil) used[p.out_region] = true;
-    }
-  }
-  std::vector<std::size_t> remap(s.regions.size(), 0);
-  std::vector<scen::RegionSpec> kept;
-  for (std::size_t i = 0; i < s.regions.size(); ++i) {
-    if (!used[i]) continue;
-    remap[i] = kept.size();
-    kept.push_back(std::move(s.regions[i]));
-  }
-  s.regions = std::move(kept);
-  for (auto& p : s.programs) {
-    if (p.kind == GenKind::scripted) {
-      for (auto& ph : p.phases)
-        for (auto& st : ph.streams) st.region = remap[st.region];
-    } else {
-      p.region = remap[p.region];
-      if (p.kind == GenKind::stencil) p.out_region = remap[p.out_region];
-    }
-  }
+enum class Edit : std::uint8_t { halve, zero };
+
+/// The shrinkable entries of a spec's field list, in candidate order:
+/// halve its kHalve counts and sizes, then zero its kZero integers (gaps),
+/// then its kZero fractions; nested phases and streams are visited in
+/// place of their list entry, during the first pass.
+template <class S, class F>
+void field_edits(S& s, F&& f) {
+  for (int pass = 0; pass < 3; ++pass)
+    scen::for_each_field(s, [&](const char*, auto& x, unsigned rule) {
+      using T = std::remove_cvref_t<decltype(x)>;
+      if constexpr (scen::is_spec_list<T>) {
+        if (pass == 0)
+          for (auto& e : x) field_edits(e, f);
+      } else if constexpr (std::is_arithmetic_v<T> &&
+                           !std::is_same_v<T, bool>) {
+        if (pass == 0 && (rule & scen::kHalve)) f(x, Edit::halve);
+        if (pass == (std::is_integral_v<T> ? 1 : 2) && (rule & scen::kZero))
+          f(x, Edit::zero);
+      }
+    });
 }
 
 /// Shrink the mesh along one axis, discarding cores that fall out of
@@ -149,85 +141,35 @@ std::vector<Scenario> propose(const Scenario& s) {
   }
 
   // Region pruning (programs dropped above leave orphans behind).
-  with([&](Scenario& c) {
-    const std::size_t before = c.regions.size();
-    prune_unreferenced(c);
-    return c.regions.size() < before;
-  });
+  with([&](Scenario& c) { return c.drop_unreferenced_regions() > 0; });
 
-  // Size halvings and gap/fraction zeroing, one field per candidate.
-  for (std::size_t i = 0; i < s.programs.size(); ++i) {
-    const auto& p = s.programs[i];
-    const auto field = [&](auto get) {
-      with([&](Scenario& c) {
-        auto& x = get(c.programs[i]);
-        if (x <= 1) return false;
-        x = static_cast<std::remove_reference_t<decltype(x)>>(halve(x));
-        return true;
+  // Size halvings and gap/fraction zeroing, one field per candidate, in
+  // field_edits order: the programs', then the regions'. A candidate
+  // re-walks its copy of the spec to the same ordinal, so indices always
+  // match the original's walk.
+  const auto field_candidates = [&](auto list) {
+    for (std::size_t i = 0; i < (s.*list).size(); ++i) {
+      std::size_t n = 0;
+      field_edits((s.*list)[i], [&](const auto& x, Edit e) {
+        const std::size_t at = n++;
+        if (e == Edit::halve ? x <= 1 : x == 0) return;
+        with([&](Scenario& c) {
+          std::size_t m = 0;
+          field_edits((c.*list)[i], [&](auto& y, Edit) {
+            using T = std::remove_cvref_t<decltype(y)>;
+            if (m++ != at) return;
+            if constexpr (std::is_integral_v<T>)
+              y = static_cast<T>(e == Edit::halve ? halve(y) : 0);
+            else
+              y = 0;
+          });
+          return true;
+        });
       });
-    };
-    switch (p.kind) {
-      case GenKind::scripted:
-        for (std::size_t j = 0; j < p.phases.size(); ++j) {
-          with([&](Scenario& c) {
-            auto& ph = c.programs[i].phases[j];
-            if (ph.iterations <= 1) return false;
-            ph.iterations = halve(ph.iterations);
-            return true;
-          });
-          with([&](Scenario& c) {
-            auto& ph = c.programs[i].phases[j];
-            if (ph.gap_cycles == 0) return false;
-            ph.gap_cycles = 0;
-            return true;
-          });
-        }
-        break;
-      case GenKind::zipf:
-      case GenKind::pointer_chase:
-        field([](scen::ProgramSpec& q) -> std::uint64_t& { return q.accesses; });
-        break;
-      case GenKind::stencil:
-        field([](scen::ProgramSpec& q) -> std::uint32_t& { return q.sweeps; });
-        field([](scen::ProgramSpec& q) -> std::uint32_t& { return q.halo; });
-        break;
-      case GenKind::producer_consumer:
-        field([](scen::ProgramSpec& q) -> std::uint64_t& { return q.iterations; });
-        break;
-      case GenKind::bursty:
-        field([](scen::ProgramSpec& q) -> std::uint64_t& { return q.bursts; });
-        field([](scen::ProgramSpec& q) -> std::uint64_t& { return q.burst_len; });
-        break;
     }
-    if (p.kind != GenKind::scripted && p.kind != GenKind::bursty)
-      with([&](Scenario& c) {
-        if (c.programs[i].gap_cycles == 0) return false;
-        c.programs[i].gap_cycles = 0;
-        return true;
-      });
-    if (p.kind == GenKind::zipf || p.kind == GenKind::bursty)
-      with([&](Scenario& c) {
-        if (c.programs[i].store_fraction == 0.0) return false;
-        c.programs[i].store_fraction = 0.0;
-        return true;
-      });
-  }
-
-  // Region size halvings (parse re-validates window and tiling bounds).
-  for (std::size_t i = 0; i < s.regions.size(); ++i) {
-    with([&](Scenario& c) {
-      auto& r = c.regions[i];
-      if (r.bytes > 1) {
-        r.bytes = halve(r.bytes);
-        return true;
-      }
-      if (r.bytes_per_core > 1) {
-        r.bytes_per_core = halve(r.bytes_per_core);
-        return true;
-      }
-      return false;
-    });
-  }
+  };
+  field_candidates(&Scenario::programs);
+  field_candidates(&Scenario::regions);
 
   return out;
 }

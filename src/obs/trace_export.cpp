@@ -211,4 +211,20 @@ bool write_chrome_trace(const Trace& trace, const std::string& path,
   return true;
 }
 
+bool stop_and_export(const std::string& path, TraceClock clock,
+                     const char* tool, bool quiet) {
+  const Trace trace = stop();
+  std::string error;
+  if (!write_chrome_trace(trace, path, clock, &error)) {
+    std::fprintf(stderr, "%s: %s\n", tool, error.c_str());
+    return false;
+  }
+  if (!quiet)
+    std::printf("%s: wrote trace %s (%zu events, %llu dropped, clock=%s)\n",
+                tool, path.c_str(), trace.events.size(),
+                static_cast<unsigned long long>(trace.dropped),
+                to_string(clock));
+  return true;
+}
+
 }  // namespace raa::obs

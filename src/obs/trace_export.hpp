@@ -43,4 +43,11 @@ std::string chrome_trace_json(const Trace& trace, TraceClock clock);
 bool write_chrome_trace(const Trace& trace, const std::string& path,
                         TraceClock clock, std::string* error = nullptr);
 
+/// The tools' tracing bracket, closed: stop() the session the caller
+/// started, write its Chrome trace to `path` and, unless `quiet`, print
+/// the kept/dropped event summary. A write failure is reported on stderr
+/// (prefixed with `tool`) and returns false.
+bool stop_and_export(const std::string& path, TraceClock clock,
+                     const char* tool, bool quiet);
+
 }  // namespace raa::obs

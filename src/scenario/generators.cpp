@@ -88,7 +88,7 @@ StencilProgram::StencilProgram(const StencilParams& p) : p_(p) {
 }
 
 std::size_t StencilProgram::fill(std::span<mem::Access> out) {
-  const std::uint32_t taps = 2 * p_.halo + 1;
+  const std::uint64_t taps = 2 * std::uint64_t{p_.halo} + 1;
   std::size_t n = 0;
   while (n < out.size() && sweep_ < p_.sweeps) {
     const std::uint64_t g = p_.elem_offset + i_;  // global element index

@@ -143,7 +143,7 @@ class StencilProgram final : public GenProgram {
   std::uint64_t in_elems_ = 0;  ///< total elements in the input region
   std::uint32_t sweep_ = 0;
   std::uint64_t i_ = 0;    ///< element index within this core's slice
-  std::uint32_t tap_ = 0;  ///< 0..2*halo reads, then the write
+  std::uint64_t tap_ = 0;  ///< 0..2*halo reads, then the write
 };
 
 // --- producer / consumer --------------------------------------------------

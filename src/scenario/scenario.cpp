@@ -12,55 +12,12 @@ namespace raa::scen {
 
 namespace {
 
-using json::check_keys;
 using json::Ctx;
 using json::to_enum;
 using json::to_str;
 using json::to_u32;
 using json::to_u64;
 using json::Value;
-
-bool to_fraction(Ctx& c, const Value& v, const std::string& path,
-                 double& out) {
-  if (!v.is_number() || v.as_number() < 0.0 || v.as_number() > 1.0)
-    return c.fail(path, "expected a number in [0, 1]");
-  out = v.as_number();
-  return true;
-}
-
-bool to_bool(Ctx& c, const Value& v, const std::string& path, bool& out) {
-  if (!v.is_bool()) return c.fail(path, "expected true or false");
-  out = v.as_bool();
-  return true;
-}
-
-/// Optional-field helpers: absent leaves the default in place.
-template <typename T, typename Fn>
-bool opt(Ctx& c, const Value& obj, const std::string& path, const char* key,
-         Fn&& to, T& out) {
-  const Value* v = obj.find(key);
-  return v == nullptr || to(c, *v, path + "." + key, out);
-}
-
-template <typename T, typename Fn>
-bool req(Ctx& c, const Value& obj, const std::string& path, const char* key,
-         Fn&& to, T& out) {
-  const Value* v = obj.find(key);
-  if (v == nullptr)
-    return c.fail(path, std::string{"missing required key \""} + key + "\"");
-  return to(c, *v, path + "." + key, out);
-}
-
-/// opt()/req() readers over an enum's name table; the string names the
-/// field in the "unknown ..." diagnostic.
-constexpr auto enum_field(const char* what) {
-  return [what](Ctx& c, const Value& v, const std::string& path, auto& out) {
-    return to_enum(c, v, path, what, out);
-  };
-}
-constexpr auto to_ref_class = enum_field("reference class");
-constexpr auto to_stream_kind = enum_field("stream kind");
-constexpr auto to_gen_kind = enum_field("generator");
 
 /// One field of a walked parameter object (memsim/config.hpp's
 /// for_each_*_field lists). Unsigned values must be positive unless
@@ -133,382 +90,348 @@ bool parse_config(Ctx& c, const Value& v, const std::string& path,
   return true;
 }
 
-/// The scenario's "memory" object: backend selection + both models'
-/// knobs. Parsed after "config", so memory.flat.* wins over the aliased
-/// config-level keys.
-bool parse_memory(Ctx& c, const Value& v, const std::string& path,
-                  mem::MemoryConfig& m) {
-  if (!v.is_object()) return c.fail(path, "expected an object");
-  if (!check_keys(c, v, path, {"backend", "flat", "banked"})) return false;
-  if (const Value* bv = v.find("backend")) {
-    if (!to_enum(c, *bv, path + ".backend", "backend", m.kind)) return false;
-  }
-  if (const Value* fv = v.find("flat"))
-    if (!parse_fields(
-            c, *fv, path + ".flat",
-            [&](auto&& f) { mem::for_each_flat_field(m.flat, f); },
-            "unknown key"))
-      return false;
-  if (const Value* bv = v.find("banked"))
-    if (!parse_fields(
-            c, *bv, path + ".banked",
-            [&](auto&& f) { mem::for_each_banked_field(m.banked, f); },
-            "unknown key"))
-      return false;
-  return true;
-}
+// Region indices (std::size_t) share the u64 reader, which resolves
+// kRegion entries by name.
+static_assert(std::is_same_v<std::size_t, std::uint64_t>);
 
-bool parse_regions(Ctx& c, const Value& v, const std::string& path,
-                   std::uint32_t dma_chunk_bytes,
-                   std::vector<RegionSpec>& out) {
-  if (!v.is_array() || v.as_array().empty())
-    return c.fail(path, "expected a non-empty array of regions");
-  for (std::size_t i = 0; i < v.as_array().size(); ++i) {
-    const std::string p = path + "[" + std::to_string(i) + "]";
-    const Value& rv = v.as_array()[i];
-    if (!rv.is_object()) return c.fail(p, "expected an object");
-    if (!check_keys(c, rv, p, {"name", "class", "bytes", "bytes_per_core"}))
+/// The name an enum's "unknown ..." diagnostic gives the field.
+constexpr const char* enum_what(ScenarioMode) { return "mode"; }
+constexpr const char* enum_what(mem::RefClass) { return "reference class"; }
+constexpr const char* enum_what(kern::StreamKind) { return "stream kind"; }
+constexpr const char* enum_what(mem::MemBackendKind) { return "backend"; }
+
+/// Reads a scenario document through the field lists (scenario.hpp), spec
+/// by spec, then applies the checks that span several fields.
+struct SpecReader {
+  Ctx& c;
+  const Scenario& s;  ///< the scenario being read: regions, tiles
+  /// Pointer-chase elements over the programs read so far (see
+  /// kMaxPointerChaseElems).
+  std::uint64_t chase_elems = 0;
+
+  bool positive(const std::string& path, std::uint64_t x, unsigned rule) {
+    return !(rule & kPositive) || x != 0 || c.fail(path, "must be positive");
+  }
+
+  bool value(const Value& v, const std::string& path, std::uint64_t& out,
+             unsigned rule) {
+    if (!(rule & kRegion))
+      return to_u64(c, v, path, out) && positive(path, out, rule);
+    std::string name;
+    if (!to_str(c, v, path, name)) return false;
+    for (std::size_t i = 0; i < s.regions.size(); ++i)
+      if (s.regions[i].name == name) {
+        out = i;
+        return true;
+      }
+    return c.fail(path, "unknown region '" + name + "'");
+  }
+  bool value(const Value& v, const std::string& path, std::uint32_t& out,
+             unsigned rule) {
+    return to_u32(c, v, path, out) && positive(path, out, rule);
+  }
+  bool value(const Value& v, const std::string& path, double& out,
+             unsigned rule) {
+    if (!v.is_number() || v.as_number() < 0.0 || v.as_number() > 1.0)
+      return c.fail(path, "expected a number in [0, 1]");
+    out = v.as_number();
+    if ((rule & kOpenFraction) && (out <= 0.0 || out >= 1.0))
+      return c.fail(path, "must be strictly inside (0, 1)");
+    return true;
+  }
+  bool value(const Value& v, const std::string& path, bool& out, unsigned) {
+    if (!v.is_bool()) return c.fail(path, "expected true or false");
+    out = v.as_bool();
+    return true;
+  }
+  bool value(const Value& v, const std::string& path, std::string& out,
+             unsigned rule) {
+    if (!to_str(c, v, path, out)) return false;
+    return !(rule & kRequired) || !out.empty() ||
+           c.fail(path, "must not be empty");
+  }
+  template <class E>
+    requires std::is_enum_v<E>
+  bool value(const Value& v, const std::string& path, E& out, unsigned) {
+    return to_enum(c, v, path, enum_what(E{}), out);
+  }
+  bool value(const Value& v, const std::string& path,
+             std::optional<mem::RefClass>& out, unsigned) {
+    return to_enum(c, v, path, enum_what(mem::RefClass{}), out);
+  }
+  bool value(const Value& v, const std::string& path, mem::SystemConfig& out,
+             unsigned) {
+    return parse_config(c, v, path, out);
+  }
+  bool value(const Value& v, const std::string& path, mem::MemoryConfig& out,
+             unsigned) {
+    return object(v, path, out);
+  }
+  bool value(const Value& v, const std::string& path,
+             mem::FlatBackendParams& out, unsigned) {
+    return parse_fields(
+        c, v, path, [&](auto&& f) { mem::for_each_flat_field(out, f); },
+        "unknown key");
+  }
+  bool value(const Value& v, const std::string& path,
+             mem::BankedBackendParams& out, unsigned) {
+    return parse_fields(
+        c, v, path, [&](auto&& f) { mem::for_each_banked_field(out, f); },
+        "unknown key");
+  }
+
+  /// A kSlice entry: "core" or "all" over region `region`; absent takes
+  /// the natural default ("core" iff the region is bytes_per_core).
+  bool slice(const Value* v, const std::string& path, const RegionSpec& r,
+             bool& per_core) {
+    per_core = r.bytes_per_core != 0;
+    if (v == nullptr) return true;
+    std::string str;
+    if (!to_str(c, *v, path, str)) return false;
+    if (str != "core" && str != "all")
+      return c.fail(path, "expected \"core\" or \"all\"");
+    per_core = str == "core";
+    if (per_core && r.bytes_per_core == 0)
+      return c.fail(path, "\"core\" requires a bytes_per_core region, but '" +
+                              r.name + "' declares \"bytes\"");
+    return true;
+  }
+
+  /// Read object `v` into `spec`: every key must be listed (or in
+  /// `extra`), required keys present, each value valid under its rules.
+  template <class S>
+  bool object(const Value& v, const std::string& path, S& spec,
+              std::initializer_list<const char*> extra = {}) {
+    if (!v.is_object()) return c.fail(path, "expected an object");
+    for (const auto& [key, val] : v.as_object()) {
+      bool known = false;
+      for (const char* e : extra) known = known || key == e;
+      for_each_field(spec, [&](const char* name, auto&, unsigned) {
+        known = known || key == name;
+      });
+      if (!known) return c.fail(path + "." + key, "unknown key");
+    }
+    bool ok = true;
+    std::size_t region = 0;  // the preceding kRegion entry's index
+    for_each_field(spec, [&](const char* name, auto& x, unsigned rule) {
+      using T = std::remove_cvref_t<decltype(x)>;
+      if (!ok) return;
+      const Value* fv = v.find(name);
+      const std::string p = path + "." + name;
+      if constexpr (std::is_same_v<T, bool>)
+        if (rule & kSlice) {
+          ok = slice(fv, p, s.regions[region], x);
+          return;
+        }
+      if (fv == nullptr) {
+        if (rule & (kRequired | kRegion))
+          ok = c.fail(path, std::string{"missing required key \""} + name +
+                                "\"");
+        return;
+      }
+      if constexpr (is_spec_list<T>) {
+        ok = list(*fv, p, name, x, spec);
+      } else {
+        ok = value(*fv, p, x, rule);
+        if constexpr (std::is_same_v<T, std::size_t>)
+          if (rule & kRegion) region = x;
+      }
+    });
+    return ok;
+  }
+
+  /// A program object: its "generator" picks the field list, "cores" the
+  /// cores it covers.
+  bool object(const Value& v, const std::string& path, ProgramSpec& p) {
+    if (!v.is_object()) return c.fail(path, "expected an object");
+    const Value* g = v.find("generator");
+    if (g == nullptr) return c.fail(path, "missing required key \"generator\"");
+    if (!to_enum(c, *g, path + ".generator", "generator", p.kind))
       return false;
-    RegionSpec r;
-    if (!req(c, rv, p, "name", to_str, r.name)) return false;
-    if (r.name.empty()) return c.fail(p + ".name", "must not be empty");
-    if (!req(c, rv, p, "class", to_ref_class, r.ref)) return false;
-    if (!opt(c, rv, p, "bytes", to_u64, r.bytes)) return false;
-    if (!opt(c, rv, p, "bytes_per_core", to_u64, r.bytes_per_core))
-      return false;
+    return cores(v, path, p.cores) &&
+           object<ProgramSpec>(v, path, p, {"generator", "cores"});
+  }
+
+  bool cores(const Value& obj, const std::string& path,
+             std::vector<unsigned>& out) {
+    const Value* v = obj.find("cores");
+    if (v == nullptr) return true;  // default: all cores
+    if (v->is_string()) {
+      if (v->as_string() == "all") return true;
+      return c.fail(path + ".cores", "expected \"all\" or an array of cores");
+    }
+    if (!v->is_array() || v->as_array().empty())
+      return c.fail(path + ".cores", "expected \"all\" or a non-empty array");
+    for (std::size_t i = 0; i < v->as_array().size(); ++i) {
+      const std::string p = path + ".cores[" + std::to_string(i) + "]";
+      std::uint64_t core = 0;
+      if (!to_u64(c, v->as_array()[i], p, core)) return false;
+      if (core >= s.config.tiles)
+        return c.fail(p, "core " + std::to_string(core) +
+                             " out of range (tiles = " +
+                             std::to_string(s.config.tiles) + ")");
+      out.push_back(static_cast<unsigned>(core));
+    }
+    return true;
+  }
+
+  /// A non-empty array of specs; each is checked against its `parent`,
+  /// read up to the list entry.
+  template <class S, class Parent>
+  bool list(const Value& v, const std::string& path, const char* noun,
+            std::vector<S>& out, const Parent& parent) {
+    if (!v.is_array() || v.as_array().empty())
+      return c.fail(path, std::string{"expected a non-empty array of "} +
+                              noun);
+    for (std::size_t i = 0; i < v.as_array().size(); ++i) {
+      const std::string p = path + "[" + std::to_string(i) + "]";
+      S spec;
+      if (!object(v.as_array()[i], p, spec) || !check(p, spec, parent))
+        return false;
+      out.push_back(std::move(spec));
+    }
+    return true;
+  }
+
+  bool check(const std::string& path, const RegionSpec& r, const Scenario&) {
     if ((r.bytes == 0) == (r.bytes_per_core == 0))
-      return c.fail(p, "give exactly one of \"bytes\" or \"bytes_per_core\"");
+      return c.fail(path,
+                    "give exactly one of \"bytes\" or \"bytes_per_core\"");
     // Strided per-core slices become SPM software-cache tiles; a slice
     // that is not a whole number of DMA chunks would make adjacent cores
     // share a chunk, violating the protocol's no-overlap tiling contract
     // (System aborts on it mid-run — catch it here instead).
-    if (r.ref == mem::RefClass::strided && r.bytes_per_core != 0 &&
-        r.bytes_per_core % dma_chunk_bytes != 0)
-      return c.fail(p + ".bytes_per_core",
+    const std::uint32_t chunk = s.config.dma_chunk_bytes;
+    if (r.ref == mem::RefClass::strided && r.bytes_per_core % chunk != 0)
+      return c.fail(path + ".bytes_per_core",
                     "strided per-core slices must be a multiple of "
-                    "dma_chunk_bytes (" + std::to_string(dma_chunk_bytes) +
-                        ")");
-    for (const auto& seen : out)
+                    "dma_chunk_bytes (" + std::to_string(chunk) + ")");
+    for (const auto& seen : s.regions)
       if (seen.name == r.name)
-        return c.fail(p + ".name", "duplicate region name '" + r.name + "'");
-    out.push_back(std::move(r));
+        return c.fail(path + ".name", "duplicate region name '" + r.name + "'");
+    return true;
   }
-  return true;
-}
 
-/// Resolve a region-name value to its index.
-bool to_region_index(Ctx& c, const Value& v, const std::string& path,
-                     const std::vector<RegionSpec>& regions,
-                     std::size_t& out) {
-  std::string name;
-  if (!to_str(c, v, path, name)) return false;
-  for (std::size_t i = 0; i < regions.size(); ++i)
-    if (regions[i].name == name) {
-      out = i;
+  bool check(const std::string&, const PhaseSpec&, const ProgramSpec&) {
+    return true;
+  }
+
+  /// A stream must stay inside its window for all of `ph`'s iterations.
+  bool check(const std::string& path, const StreamSpec& st,
+             const PhaseSpec& ph) {
+    const std::uint64_t window =
+        s.regions[st.region].window(st.per_core_slice, s.config.tiles);
+    if (st.kind != kern::StreamKind::linear) {
+      if (st.start + st.elem_bytes > window)
+        return c.fail(path, "random stream window smaller than one element");
       return true;
     }
-  return c.fail(path, "unknown region '" + name + "'");
-}
-
-/// Parse a "slice" value ("core" or "all") into the per-core flag;
-/// validates that "core" is only used with bytes_per_core regions.
-bool parse_slice(Ctx& c, const Value& obj, const std::string& path,
-                 const std::vector<RegionSpec>& regions, std::size_t region,
-                 bool& per_core) {
-  per_core = regions[region].bytes_per_core != 0;  // the natural default
-  const Value* v = obj.find("slice");
-  if (v == nullptr) return true;
-  std::string s;
-  if (!to_str(c, *v, path + ".slice", s)) return false;
-  if (s == "core")
-    per_core = true;
-  else if (s == "all")
-    per_core = false;
-  else
-    return c.fail(path + ".slice", "expected \"core\" or \"all\"");
-  if (per_core && regions[region].bytes_per_core == 0)
-    return c.fail(path + ".slice",
-                  "\"core\" requires a bytes_per_core region, but '" +
-                      regions[region].name + "' declares \"bytes\"");
-  return true;
-}
-
-/// Byte length of the window a stream/generator draws from.
-std::uint64_t window_bytes(const RegionSpec& r, bool per_core,
-                           unsigned tiles) {
-  return per_core ? r.bytes_per_core
-                  : (r.bytes != 0 ? r.bytes : r.bytes_per_core * tiles);
-}
-
-bool parse_streams(Ctx& c, const Value& v, const std::string& path,
-                   const std::vector<RegionSpec>& regions, unsigned tiles,
-                   std::uint64_t iterations, std::vector<StreamSpec>& out) {
-  if (!v.is_array() || v.as_array().empty())
-    return c.fail(path, "expected a non-empty array of streams");
-  for (std::size_t i = 0; i < v.as_array().size(); ++i) {
-    const std::string p = path + "[" + std::to_string(i) + "]";
-    const Value& sv = v.as_array()[i];
-    if (!sv.is_object()) return c.fail(p, "expected an object");
-    if (!check_keys(c, sv, p,
-                    {"region", "kind", "store", "class", "start", "stride",
-                     "elem_bytes", "slice"}))
-      return false;
-    StreamSpec s;
-    if (!req(c, sv, p, "region",
-             [&](Ctx& cc, const Value& vv, const std::string& pp,
-                 std::size_t& oo) {
-               return to_region_index(cc, vv, pp, regions, oo);
-             },
-             s.region))
-      return false;
-    if (!opt(c, sv, p, "kind", to_stream_kind, s.kind)) return false;
-    if (!opt(c, sv, p, "store", to_bool, s.store)) return false;
-    if (!opt(c, sv, p, "class", to_ref_class, s.ref)) return false;
-    if (!opt(c, sv, p, "start", to_u64, s.start)) return false;
-    if (!opt(c, sv, p, "stride", to_u64, s.stride)) return false;
-    if (!opt(c, sv, p, "elem_bytes", to_u32, s.elem_bytes)) return false;
-    if (s.elem_bytes == 0) return c.fail(p + ".elem_bytes", "must be positive");
-    if (!parse_slice(c, sv, p, regions, s.region, s.per_core_slice))
-      return false;
-
-    const std::uint64_t window =
-        window_bytes(regions[s.region], s.per_core_slice, tiles);
-    if (s.kind == kern::StreamKind::linear) {
-      if (s.stride == 0) return c.fail(p + ".stride", "must be positive");
-      if (s.start >= window)
-        return c.fail(p + ".start", "beyond the " + std::to_string(window) +
-                                        "-byte window");
-      // Division form: `start + (iterations-1)*stride` could wrap uint64
-      // and dodge the bound.
-      const std::uint64_t max_iters = (window - s.start - 1) / s.stride + 1;
-      if (iterations > max_iters)
-        return c.fail(
-            p, "linear stream runs past its " + std::to_string(window) +
-                   "-byte window after " + std::to_string(iterations) +
-                   " iterations (start " + std::to_string(s.start) +
-                   ", stride " + std::to_string(s.stride) + ")");
-    } else {
-      if (s.start + s.elem_bytes > window)
-        return c.fail(p, "random stream window smaller than one element");
-    }
-    out.push_back(std::move(s));
+    // Linear streams only: a random stream ignores its stride.
+    if (st.stride == 0) return c.fail(path + ".stride", "must be positive");
+    if (st.start >= window)
+      return c.fail(path + ".start", "beyond the " + std::to_string(window) +
+                                         "-byte window");
+    // Division form: `start + (iterations-1)*stride` could wrap uint64
+    // and dodge the bound.
+    const std::uint64_t max_iters = (window - st.start - 1) / st.stride + 1;
+    if (ph.iterations > max_iters)
+      return c.fail(
+          path, "linear stream runs past its " + std::to_string(window) +
+                    "-byte window after " + std::to_string(ph.iterations) +
+                    " iterations (start " + std::to_string(st.start) +
+                    ", stride " + std::to_string(st.stride) + ")");
+    return true;
   }
-  return true;
-}
 
-bool parse_phases(Ctx& c, const Value& v, const std::string& path,
-                  const std::vector<RegionSpec>& regions, unsigned tiles,
-                  std::vector<PhaseSpec>& out) {
-  if (!v.is_array() || v.as_array().empty())
-    return c.fail(path, "expected a non-empty array of phases");
-  for (std::size_t i = 0; i < v.as_array().size(); ++i) {
-    const std::string p = path + "[" + std::to_string(i) + "]";
-    const Value& pv = v.as_array()[i];
-    if (!pv.is_object()) return c.fail(p, "expected an object");
-    if (!check_keys(c, pv, p, {"iterations", "gap_cycles", "streams"}))
-      return false;
-    PhaseSpec ph;
-    if (!req(c, pv, p, "iterations", to_u64, ph.iterations)) return false;
-    if (ph.iterations == 0) return c.fail(p + ".iterations", "must be positive");
-    if (!opt(c, pv, p, "gap_cycles", to_u32, ph.gap_cycles)) return false;
-    const Value* sv = pv.find("streams");
-    if (sv == nullptr) return c.fail(p, "missing required key \"streams\"");
-    if (!parse_streams(c, *sv, p + ".streams", regions, tiles, ph.iterations,
-                       ph.streams))
-      return false;
-    out.push_back(std::move(ph));
-  }
-  return true;
-}
-
-bool parse_cores(Ctx& c, const Value& obj, const std::string& path,
-                 unsigned tiles, std::vector<unsigned>& out) {
-  const Value* v = obj.find("cores");
-  if (v == nullptr) return true;  // default: all cores
-  if (v->is_string()) {
-    if (v->as_string() == "all") return true;
-    return c.fail(path + ".cores", "expected \"all\" or an array of cores");
-  }
-  if (!v->is_array() || v->as_array().empty())
-    return c.fail(path + ".cores", "expected \"all\" or a non-empty array");
-  for (std::size_t i = 0; i < v->as_array().size(); ++i) {
-    const std::string p = path + ".cores[" + std::to_string(i) + "]";
-    std::uint64_t core = 0;
-    if (!to_u64(c, v->as_array()[i], p, core)) return false;
-    if (core >= tiles)
-      return c.fail(p, "core " + std::to_string(core) +
-                           " out of range (tiles = " + std::to_string(tiles) +
-                           ")");
-    out.push_back(static_cast<unsigned>(core));
-  }
-  return true;
-}
-
-/// `chase_elems` is the running total of pointer-chase elements over the
-/// programs parsed so far (see kMaxPointerChaseElems).
-bool parse_program(Ctx& c, const Value& v, const std::string& path,
-                   const std::vector<RegionSpec>& regions, unsigned tiles,
-                   std::uint64_t& chase_elems, ProgramSpec& p) {
-  if (!v.is_object()) return c.fail(path, "expected an object");
-  if (!req(c, v, path, "generator", to_gen_kind, p.kind)) return false;
-  if (!parse_cores(c, v, path, tiles, p.cores)) return false;
-
-  const auto region_field = [&](const char* key, std::size_t& out) {
-    return req(c, v, path, key,
-               [&](Ctx& cc, const Value& vv, const std::string& pp,
-                   std::size_t& oo) {
-                 return to_region_index(cc, vv, pp, regions, oo);
-               },
-               out);
-  };
-  const auto elem_and_gap = [&] {
-    if (!opt(c, v, path, "elem_bytes", to_u32, p.elem_bytes)) return false;
-    if (p.elem_bytes == 0)
-      return c.fail(path + ".elem_bytes", "must be positive");
-    return opt(c, v, path, "gap_cycles", to_u32, p.gap_cycles);
-  };
-  /// Window must hold >= `min_elems` elements of p.elem_bytes.
-  const auto window_check = [&](std::size_t region, bool per_core,
-                                std::uint64_t min_elems) {
-    const std::uint64_t window = window_bytes(regions[region], per_core, tiles);
-    if (window / p.elem_bytes < min_elems)
-      return c.fail(path, "region '" + regions[region].name +
+  /// `r`'s window must hold >= `min_elems` elements of p.elem_bytes.
+  bool window_check(const std::string& path, const ProgramSpec& p,
+                    const RegionSpec& r, bool per_core,
+                    std::uint64_t min_elems) {
+    if (r.window(per_core, s.config.tiles) / p.elem_bytes < min_elems)
+      return c.fail(path, "region '" + r.name +
                               "' window too small: need at least " +
                               std::to_string(min_elems) + " elements of " +
                               std::to_string(p.elem_bytes) + " bytes");
     return true;
-  };
+  }
 
-  if (p.kind == GenKind::scripted) {
-    if (!check_keys(c, v, path, {"generator", "cores", "phases"}))
-      return false;
-    const Value* pv = v.find("phases");
-    if (pv == nullptr) return c.fail(path, "missing required key \"phases\"");
-    return parse_phases(c, *pv, path + ".phases", regions, tiles, p.phases);
-  }
-  if (p.kind == GenKind::zipf) {
-    if (!check_keys(c, v, path,
-                    {"generator", "cores", "region", "slice", "class",
-                     "accesses", "elem_bytes", "hot_fraction", "hot_weight",
-                     "store_fraction", "gap_cycles"}))
-      return false;
-    if (!region_field("region", p.region)) return false;
-    if (!parse_slice(c, v, path, regions, p.region, p.per_core_slice))
-      return false;
-    if (!opt(c, v, path, "class", to_ref_class, p.ref)) return false;
-    if (!req(c, v, path, "accesses", to_u64, p.accesses)) return false;
-    if (p.accesses == 0) return c.fail(path + ".accesses", "must be positive");
-    if (!elem_and_gap()) return false;
-    if (!opt(c, v, path, "hot_fraction", to_fraction, p.hot_fraction))
-      return false;
-    if (p.hot_fraction <= 0.0 || p.hot_fraction >= 1.0)
-      return c.fail(path + ".hot_fraction", "must be strictly inside (0, 1)");
-    if (!opt(c, v, path, "hot_weight", to_fraction, p.hot_weight))
-      return false;
-    if (!opt(c, v, path, "store_fraction", to_fraction, p.store_fraction))
-      return false;
-    return window_check(p.region, p.per_core_slice, 2);
-  }
-  if (p.kind == GenKind::pointer_chase) {
-    if (!check_keys(c, v, path,
-                    {"generator", "cores", "region", "slice", "class",
-                     "accesses", "elem_bytes", "gap_cycles"}))
-      return false;
-    if (!region_field("region", p.region)) return false;
-    if (!parse_slice(c, v, path, regions, p.region, p.per_core_slice))
-      return false;
-    if (!opt(c, v, path, "class", to_ref_class, p.ref)) return false;
-    if (!req(c, v, path, "accesses", to_u64, p.accesses)) return false;
-    if (p.accesses == 0) return c.fail(path + ".accesses", "must be positive");
-    if (!elem_and_gap()) return false;
-    if (!window_check(p.region, p.per_core_slice, 2)) return false;
-    const std::uint64_t elems =
-        window_bytes(regions[p.region], p.per_core_slice, tiles) /
-        p.elem_bytes;
-    // Every core materialises its own cycle: the limit caps the total
-    // over all cores of all pointer_chase programs.
-    const std::uint64_t cores = p.cores.empty() ? tiles : p.cores.size();
-    if (elems > (kMaxPointerChaseElems - chase_elems) / cores)
-      return c.fail(path, "region '" + regions[p.region].name +
-                              "' window too large for a pointer chase: " +
-                              std::to_string(elems) + " elements x " +
-                              std::to_string(cores) + " cores exceed the " +
-                              std::to_string(kMaxPointerChaseElems) +
-                              "-element limit on all chases together (" +
-                              std::to_string(chase_elems) + " already used)");
-    chase_elems += elems * cores;
+  /// The per-kind rules that span several fields.
+  bool check(const std::string& path, const ProgramSpec& p, const Scenario&) {
+    const unsigned tiles = s.config.tiles;
+    const RegionSpec& r = s.regions[p.region];
+    switch (p.kind) {
+      case GenKind::scripted:
+        return true;
+      case GenKind::zipf:
+        return window_check(path, p, r, p.per_core_slice, 2);
+      case GenKind::pointer_chase: {
+        if (!window_check(path, p, r, p.per_core_slice, 2)) return false;
+        const std::uint64_t elems =
+            r.window(p.per_core_slice, tiles) / p.elem_bytes;
+        // Every core materialises its own cycle: the limit caps the total
+        // over all cores of all pointer_chase programs.
+        const std::uint64_t cores = p.cores.empty() ? tiles : p.cores.size();
+        if (elems > (kMaxPointerChaseElems - chase_elems) / cores)
+          return c.fail(path, "region '" + r.name +
+                                  "' window too large for a pointer chase: " +
+                                  std::to_string(elems) + " elements x " +
+                                  std::to_string(cores) +
+                                  " cores exceed the " +
+                                  std::to_string(kMaxPointerChaseElems) +
+                                  "-element limit on all chases together (" +
+                                  std::to_string(chase_elems) +
+                                  " already used)");
+        chase_elems += elems * cores;
+        return true;
+      }
+      case GenKind::stencil: {
+        const RegionSpec& out = s.regions[p.out_region];
+        for (const RegionSpec* g : {&r, &out})
+          if (g->bytes_per_core == 0)
+            return c.fail(path, "stencil grids must be bytes_per_core "
+                                "regions, but '" + g->name +
+                                    "' declares \"bytes\"");
+        if (p.halo_ref == mem::RefClass::strided)
+          return c.fail(path + ".halo_class",
+                        "halo taps cross core slices and cannot be strided "
+                        "(overlapping SPM tiles)");
+        if (out.bytes_per_core < r.bytes_per_core)
+          return c.fail(path, "output grid '" + out.name +
+                                  "' is smaller per core than input grid '" +
+                                  r.name + "'");
+        return window_check(path, p, r, /*per_core=*/true, 1);
+      }
+      case GenKind::producer_consumer:
+        if (r.bytes_per_core == 0)
+          return c.fail(path, "producer_consumer needs a bytes_per_core "
+                              "region (the per-core slot), but '" +
+                                  r.name + "' declares \"bytes\"");
+        return window_check(path, p, r, /*per_core=*/true, 1);
+      case GenKind::bursty:
+        return window_check(path, p, r, p.per_core_slice, 1);
+    }
     return true;
   }
-  if (p.kind == GenKind::stencil) {
-    if (!check_keys(c, v, path,
-                    {"generator", "cores", "in", "out", "sweeps", "halo",
-                     "halo_class", "elem_bytes", "gap_cycles"}))
-      return false;
-    if (!region_field("in", p.region)) return false;
-    if (!region_field("out", p.out_region)) return false;
-    for (const std::size_t r : {p.region, p.out_region})
-      if (regions[r].bytes_per_core == 0)
-        return c.fail(path, "stencil grids must be bytes_per_core regions, "
-                            "but '" + regions[r].name + "' declares \"bytes\"");
-    if (!opt(c, v, path, "sweeps", to_u32, p.sweeps)) return false;
-    if (p.sweeps == 0) return c.fail(path + ".sweeps", "must be positive");
-    if (!opt(c, v, path, "halo", to_u32, p.halo)) return false;
-    if (!opt(c, v, path, "halo_class", to_ref_class, p.halo_ref))
-      return false;
-    if (p.halo_ref && *p.halo_ref == mem::RefClass::strided)
-      return c.fail(path + ".halo_class",
-                    "halo taps cross core slices and cannot be strided "
-                    "(overlapping SPM tiles)");
-    if (!elem_and_gap()) return false;
-    if (regions[p.out_region].bytes_per_core <
-        regions[p.region].bytes_per_core)
-      return c.fail(path, "output grid '" + regions[p.out_region].name +
-                              "' is smaller per core than input grid '" +
-                              regions[p.region].name + "'");
-    return window_check(p.region, /*per_core=*/true, 1);
+
+  /// No core may be claimed twice (cores nobody claims simply idle).
+  bool check(const std::string& path, const Scenario& sc) {
+    std::vector<int> owner(sc.config.tiles, -1);
+    for (std::size_t i = 0; i < sc.programs.size(); ++i) {
+      std::vector<unsigned> cores = sc.programs[i].cores;
+      if (cores.empty())
+        for (unsigned t = 0; t < sc.config.tiles; ++t) cores.push_back(t);
+      for (const unsigned core : cores) {
+        if (owner[core] >= 0)
+          return c.fail(path + ".programs[" + std::to_string(i) + "]",
+                        "core " + std::to_string(core) +
+                            " is already claimed by programs[" +
+                            std::to_string(owner[core]) + "]");
+        owner[core] = static_cast<int>(i);
+      }
+    }
+    return true;
   }
-  if (p.kind == GenKind::producer_consumer) {
-    if (!check_keys(c, v, path,
-                    {"generator", "cores", "region", "class", "iterations",
-                     "elem_bytes", "gap_cycles"}))
-      return false;
-    if (!region_field("region", p.region)) return false;
-    if (regions[p.region].bytes_per_core == 0)
-      return c.fail(path, "producer_consumer needs a bytes_per_core region "
-                          "(the per-core slot), but '" +
-                              regions[p.region].name + "' declares \"bytes\"");
-    if (!opt(c, v, path, "class", to_ref_class, p.ref)) return false;
-    if (!req(c, v, path, "iterations", to_u64, p.iterations)) return false;
-    if (p.iterations == 0)
-      return c.fail(path + ".iterations", "must be positive");
-    if (!elem_and_gap()) return false;
-    return window_check(p.region, /*per_core=*/true, 1);
-  }
-  if (p.kind == GenKind::bursty) {
-    if (!check_keys(c, v, path,
-                    {"generator", "cores", "region", "slice", "class",
-                     "bursts", "burst_len", "gap_on", "gap_off",
-                     "store_fraction", "elem_bytes"}))
-      return false;
-    if (!region_field("region", p.region)) return false;
-    if (!parse_slice(c, v, path, regions, p.region, p.per_core_slice))
-      return false;
-    if (!opt(c, v, path, "class", to_ref_class, p.ref)) return false;
-    if (!req(c, v, path, "bursts", to_u64, p.bursts)) return false;
-    if (!req(c, v, path, "burst_len", to_u64, p.burst_len)) return false;
-    if (p.bursts == 0 || p.burst_len == 0)
-      return c.fail(path, "bursts and burst_len must be positive");
-    if (!opt(c, v, path, "gap_on", to_u32, p.gap_on)) return false;
-    if (!opt(c, v, path, "gap_off", to_u32, p.gap_off)) return false;
-    if (!opt(c, v, path, "store_fraction", to_fraction, p.store_fraction))
-      return false;
-    if (!opt(c, v, path, "elem_bytes", to_u32, p.elem_bytes)) return false;
-    if (p.elem_bytes == 0)
-      return c.fail(path + ".elem_bytes", "must be positive");
-    return window_check(p.region, p.per_core_slice, 1);
-  }
-  return true;
-}
+};
 
 }  // namespace
 
@@ -525,80 +448,10 @@ std::vector<mem::HierarchyMode> Scenario::hierarchy_modes() const {
 std::optional<Scenario> Scenario::parse(const json::Value& doc,
                                         std::string* error) {
   Ctx c{error};
-  const std::string root = "scenario";
-  if (!doc.is_object()) {
-    c.fail(root, "expected a JSON object");
-    return std::nullopt;
-  }
   Scenario s;
-  if (!check_keys(c, doc, root,
-                  {"name", "description", "mode", "seed", "config", "memory",
-                   "regions", "programs"}))
+  SpecReader rd{c, s};
+  if (!rd.object(doc, "scenario", s) || !rd.check("scenario", s))
     return std::nullopt;
-  if (!req(c, doc, root, "name", to_str, s.name)) return std::nullopt;
-  if (s.name.empty()) {
-    c.fail(root + ".name", "must not be empty");
-    return std::nullopt;
-  }
-  if (!opt(c, doc, root, "description", to_str, s.description))
-    return std::nullopt;
-  if (const Value* mv = doc.find("mode"))
-    if (!to_enum(c, *mv, root + ".mode", "mode", s.mode)) return std::nullopt;
-  if (!opt(c, doc, root, "seed", to_u64, s.seed)) return std::nullopt;
-  if (const Value* cv = doc.find("config")) {
-    if (!parse_config(c, *cv, root + ".config", s.config)) return std::nullopt;
-  }
-  if (const Value* mv = doc.find("memory")) {
-    if (!parse_memory(c, *mv, root + ".memory", s.config.memory))
-      return std::nullopt;
-  }
-
-  const Value* rv = doc.find("regions");
-  if (rv == nullptr) {
-    c.fail(root, "missing required key \"regions\"");
-    return std::nullopt;
-  }
-  if (!parse_regions(c, *rv, root + ".regions", s.config.dma_chunk_bytes,
-                     s.regions))
-    return std::nullopt;
-
-  const Value* pv = doc.find("programs");
-  if (pv == nullptr) {
-    c.fail(root, "missing required key \"programs\"");
-    return std::nullopt;
-  }
-  if (!pv->is_array() || pv->as_array().empty()) {
-    c.fail(root + ".programs", "expected a non-empty array");
-    return std::nullopt;
-  }
-  std::uint64_t chase_elems = 0;
-  for (std::size_t i = 0; i < pv->as_array().size(); ++i) {
-    ProgramSpec p;
-    if (!parse_program(c, pv->as_array()[i],
-                       root + ".programs[" + std::to_string(i) + "]",
-                       s.regions, s.config.tiles, chase_elems, p))
-      return std::nullopt;
-    s.programs.push_back(std::move(p));
-  }
-
-  // Core-coverage check: no core may be claimed twice (cores nobody claims
-  // simply idle).
-  std::vector<int> owner(s.config.tiles, -1);
-  for (std::size_t i = 0; i < s.programs.size(); ++i) {
-    std::vector<unsigned> cores = s.programs[i].cores;
-    if (cores.empty())
-      for (unsigned t = 0; t < s.config.tiles; ++t) cores.push_back(t);
-    for (const unsigned core : cores) {
-      if (owner[core] >= 0) {
-        c.fail(root + ".programs[" + std::to_string(i) + "]",
-               "core " + std::to_string(core) +
-                   " is already claimed by programs[" +
-                   std::to_string(owner[core]) + "]");
-        return std::nullopt;
-      }
-      owner[core] = static_cast<int>(i);
-    }
-  }
   return s;
 }
 
@@ -644,154 +497,98 @@ json::Value config_to_json(const mem::SystemConfig& c) {
   });
 }
 
-/// The "memory" object mirrors parse_memory key for key, defaults
-/// included, keeping the parse(to_json()) round trip field-identical.
-json::Value memory_to_json(const mem::MemoryConfig& m) {
-  json::Value v;
-  v.set("backend", mem::to_string(m.kind));
-  v.set("flat", fields_to_json(
-                    [&](auto&& f) { mem::for_each_flat_field(m.flat, f); }));
-  v.set("banked", fields_to_json([&](auto&& f) {
-          mem::for_each_banked_field(m.banked, f);
-        }));
-  return v;
-}
-
 json::Value cores_to_json(const std::vector<unsigned>& cores) {
   json::Value a;
   for (const unsigned c : cores) a.push_back(c);
   return a;
 }
 
-const char* slice_str(bool per_core) { return per_core ? "core" : "all"; }
-
-json::Value program_to_json(const ProgramSpec& p,
-                            const std::vector<RegionSpec>& regions) {
+/// One walk over `s`'s field list, nested specs included. Every entry is
+/// written, defaults too, except kOmitDefault ones at their default.
+template <class S>
+json::Value spec_to_json(const S& s, const Scenario& sc) {
   json::Value v;
-  const auto region_name = [&](std::size_t idx) {
-    return json::Value{regions[idx].name};
-  };
-  v.set("generator", to_string(p.kind));
-  if (!p.cores.empty()) v.set("cores", cores_to_json(p.cores));
-  switch (p.kind) {
-    case GenKind::scripted: {
-      json::Value phases;
-      for (const auto& ph : p.phases) {
-        json::Value pv;
-        pv.set("iterations", static_cast<double>(ph.iterations));
-        pv.set("gap_cycles", ph.gap_cycles);
-        json::Value streams;
-        for (const auto& st : ph.streams) {
-          json::Value sv;
-          sv.set("region", region_name(st.region));
-          sv.set("kind", kern::to_string(st.kind));
-          sv.set("store", st.store);
-          if (st.ref) sv.set("class", mem::to_string(*st.ref));
-          sv.set("start", static_cast<double>(st.start));
-          sv.set("stride", static_cast<double>(st.stride));
-          sv.set("elem_bytes", st.elem_bytes);
-          sv.set("slice", slice_str(st.per_core_slice));
-          streams.push_back(std::move(sv));
-        }
-        pv.set("streams", std::move(streams));
-        phases.push_back(std::move(pv));
-      }
-      v.set("phases", std::move(phases));
-      break;
-    }
-    case GenKind::zipf:
-      v.set("region", region_name(p.region));
-      v.set("slice", slice_str(p.per_core_slice));
-      if (p.ref) v.set("class", mem::to_string(*p.ref));
-      v.set("accesses", static_cast<double>(p.accesses));
-      v.set("elem_bytes", p.elem_bytes);
-      v.set("hot_fraction", p.hot_fraction);
-      v.set("hot_weight", p.hot_weight);
-      v.set("store_fraction", p.store_fraction);
-      v.set("gap_cycles", p.gap_cycles);
-      break;
-    case GenKind::pointer_chase:
-      v.set("region", region_name(p.region));
-      v.set("slice", slice_str(p.per_core_slice));
-      if (p.ref) v.set("class", mem::to_string(*p.ref));
-      v.set("accesses", static_cast<double>(p.accesses));
-      v.set("elem_bytes", p.elem_bytes);
-      v.set("gap_cycles", p.gap_cycles);
-      break;
-    case GenKind::stencil:
-      v.set("in", region_name(p.region));
-      v.set("out", region_name(p.out_region));
-      v.set("sweeps", p.sweeps);
-      v.set("halo", p.halo);
-      if (p.halo_ref) v.set("halo_class", mem::to_string(*p.halo_ref));
-      v.set("elem_bytes", p.elem_bytes);
-      v.set("gap_cycles", p.gap_cycles);
-      break;
-    case GenKind::producer_consumer:
-      v.set("region", region_name(p.region));
-      if (p.ref) v.set("class", mem::to_string(*p.ref));
-      v.set("iterations", static_cast<double>(p.iterations));
-      v.set("elem_bytes", p.elem_bytes);
-      v.set("gap_cycles", p.gap_cycles);
-      break;
-    case GenKind::bursty:
-      // Note: bursty has no gap_cycles key (gap_on/gap_off cover it).
-      v.set("region", region_name(p.region));
-      v.set("slice", slice_str(p.per_core_slice));
-      if (p.ref) v.set("class", mem::to_string(*p.ref));
-      v.set("bursts", static_cast<double>(p.bursts));
-      v.set("burst_len", static_cast<double>(p.burst_len));
-      v.set("gap_on", p.gap_on);
-      v.set("gap_off", p.gap_off);
-      v.set("store_fraction", p.store_fraction);
-      v.set("elem_bytes", p.elem_bytes);
-      break;
+  if constexpr (std::is_same_v<S, ProgramSpec>) {
+    v.set("generator", to_string(s.kind));
+    if (!s.cores.empty()) v.set("cores", cores_to_json(s.cores));
   }
+  for_each_field(s, [&](const char* key, const auto& x, unsigned rule) {
+    using T = std::remove_cvref_t<decltype(x)>;
+    if ((rule & kOmitDefault) && x == T{}) return;
+    if constexpr (is_spec_list<T>) {
+      json::Value a;
+      for (const auto& e : x) a.push_back(spec_to_json(e, sc));
+      v.set(key, std::move(a));
+    } else if constexpr (std::is_same_v<T, mem::SystemConfig>) {
+      v.set(key, config_to_json(x));
+    } else if constexpr (std::is_same_v<T, mem::MemoryConfig>) {
+      v.set(key, spec_to_json(x, sc));
+    } else if constexpr (std::is_same_v<T, mem::FlatBackendParams>) {
+      v.set(key, fields_to_json(
+                     [&](auto&& f) { mem::for_each_flat_field(x, f); }));
+    } else if constexpr (std::is_same_v<T, mem::BankedBackendParams>) {
+      v.set(key, fields_to_json(
+                     [&](auto&& f) { mem::for_each_banked_field(x, f); }));
+    } else if constexpr (std::is_same_v<T, std::optional<mem::RefClass>>) {
+      v.set(key, enum_name(*x));
+    } else if constexpr (std::is_enum_v<T>) {
+      v.set(key, enum_name(x));
+    } else if constexpr (std::is_same_v<T, bool>) {
+      v.set(key, (rule & kSlice) ? json::Value{x ? "core" : "all"} : x);
+    } else if constexpr (std::is_same_v<T, std::size_t>) {
+      v.set(key, (rule & kRegion) ? json::Value{sc.regions[x].name} : x);
+    } else {
+      v.set(key, x);
+    }
+  });
   return v;
+}
+
+/// Call `f(index)` on every region index `s` references: its kRegion
+/// entries and those of the specs nested in it.
+template <class S, class F>
+void for_each_region_ref(S& s, F&& f) {
+  for_each_field(s, [&](const char*, auto& x, unsigned rule) {
+    using T = std::remove_cvref_t<decltype(x)>;
+    if constexpr (is_spec_list<T>) {
+      for (auto& e : x) for_each_region_ref(e, f);
+    } else if constexpr (std::is_same_v<T, std::size_t>) {
+      if (rule & kRegion) f(x);
+    }
+  });
+}
+
+/// used[i]: some program references region i.
+std::vector<bool> referenced_regions(const Scenario& s) {
+  std::vector<bool> used(s.regions.size(), false);
+  for_each_region_ref(s, [&](std::size_t r) { used[r] = true; });
+  return used;
 }
 
 }  // namespace
 
-json::Value Scenario::to_json() const {
-  json::Value doc;
-  doc.set("name", name);
-  if (!description.empty()) doc.set("description", description);
-  doc.set("mode", to_string(mode));
-  doc.set("seed", static_cast<double>(seed));
-  doc.set("config", config_to_json(config));
-  doc.set("memory", memory_to_json(config.memory));
-  json::Value regions_v;
-  for (const auto& r : regions) {
-    json::Value rv;
-    rv.set("name", r.name);
-    rv.set("class", mem::to_string(r.ref));
-    if (r.bytes != 0) rv.set("bytes", static_cast<double>(r.bytes));
-    if (r.bytes_per_core != 0)
-      rv.set("bytes_per_core", static_cast<double>(r.bytes_per_core));
-    regions_v.push_back(std::move(rv));
-  }
-  doc.set("regions", std::move(regions_v));
-  json::Value programs_v;
-  for (const auto& p : programs)
-    programs_v.push_back(program_to_json(p, regions));
-  doc.set("programs", std::move(programs_v));
-  return doc;
-}
+json::Value Scenario::to_json() const { return spec_to_json(*this, *this); }
 
 std::optional<std::size_t> Scenario::first_unreferenced_region() const {
-  std::vector<bool> used(regions.size(), false);
-  for (const auto& p : programs) {
-    if (p.kind == GenKind::scripted) {
-      for (const auto& ph : p.phases)
-        for (const auto& st : ph.streams) used[st.region] = true;
-    } else {
-      used[p.region] = true;
-      if (p.kind == GenKind::stencil) used[p.out_region] = true;
-    }
-  }
+  const std::vector<bool> used = referenced_regions(*this);
   for (std::size_t i = 0; i < used.size(); ++i)
     if (!used[i]) return i;
   return std::nullopt;
+}
+
+std::size_t Scenario::drop_unreferenced_regions() {
+  const std::vector<bool> used = referenced_regions(*this);
+  std::vector<std::size_t> remap(regions.size(), 0);
+  std::vector<RegionSpec> kept;
+  for (std::size_t i = 0; i < regions.size(); ++i) {
+    if (!used[i]) continue;
+    remap[i] = kept.size();
+    kept.push_back(std::move(regions[i]));
+  }
+  const std::size_t dropped = regions.size() - kept.size();
+  regions = std::move(kept);
+  for_each_region_ref(*this, [&](std::size_t& r) { r = remap[r]; });
+  return dropped;
 }
 
 mem::Workload Scenario::instantiate() const {
@@ -800,22 +597,16 @@ mem::Workload Scenario::instantiate() const {
   kern::AddressSpace as{config.dma_chunk_bytes};
   std::vector<const mem::Region*> regs;
   regs.reserve(regions.size());
-  for (const auto& r : regions) {
-    const std::uint64_t total =
-        r.bytes != 0 ? r.bytes : r.bytes_per_core * config.tiles;
-    regs.push_back(&as.add(w, r.name, total, r.ref));
-  }
+  for (const auto& r : regions)
+    regs.push_back(&as.add(w, r.name, r.window(false, config.tiles), r.ref));
 
   /// The window a spec draws from on core `c`.
   const auto window = [&](std::size_t region, bool per_core,
                           unsigned c) -> Slice {
     const RegionSpec& r = regions[region];
-    const std::uint64_t total =
-        r.bytes != 0 ? r.bytes : r.bytes_per_core * config.tiles;
-    if (per_core)
-      return Slice{regs[region]->base + std::uint64_t{c} * r.bytes_per_core,
-                   r.bytes_per_core};
-    return Slice{regs[region]->base, total};
+    const std::uint64_t base = regs[region]->base;
+    return Slice{per_core ? base + std::uint64_t{c} * r.bytes_per_core : base,
+                 r.window(per_core, config.tiles)};
   };
 
   std::vector<const ProgramSpec*> owner(config.tiles, nullptr);

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "kernels/program.hpp"
@@ -50,6 +51,13 @@ struct RegionSpec {
   std::uint64_t bytes = 0;
   std::uint64_t bytes_per_core = 0;
   mem::RefClass ref = mem::RefClass::strided;
+
+  /// Byte length of the window a stream or generator draws from: one
+  /// core's slice, or the whole region on a `tiles`-core chip.
+  std::uint64_t window(bool per_core, unsigned tiles) const {
+    return per_core ? bytes_per_core
+                    : (bytes != 0 ? bytes : bytes_per_core * tiles);
+  }
 
   friend bool operator==(const RegionSpec&, const RegionSpec&) = default;
 };
@@ -99,9 +107,9 @@ constexpr std::array<EnumName<GenKind>, 6> enum_names(GenKind) noexcept {
 inline const char* to_string(GenKind k) noexcept { return enum_name(k); }
 
 /// One "programs" entry: which cores it covers and either a scripted
-/// phase list or the parameters of a generator. A flat struct (unused
-/// fields stay at their defaults) keeps the parser and the lowering in
-/// plain sight; the per-kind constraints are enforced at parse time.
+/// phase list or the parameters of a generator. A flat struct: unused
+/// fields stay at their defaults, and for_each_program_field names the
+/// fields each kind uses.
 struct ProgramSpec {
   std::vector<unsigned> cores;  ///< empty = every core
   GenKind kind = GenKind::scripted;
@@ -175,7 +183,145 @@ struct Scenario {
   /// layout for no workload effect. nullopt when every region is used.
   std::optional<std::size_t> first_unreferenced_region() const;
 
+  /// Drop every region no program references and renumber the survivors'
+  /// indices, so that first_unreferenced_region() == nullopt. Returns the
+  /// number of regions dropped.
+  std::size_t drop_unreferenced_regions();
+
   friend bool operator==(const Scenario&, const Scenario&) = default;
 };
+
+/// What a field-list entry demands of its JSON value, how to_json writes
+/// it, and how the fuzz shrinker may edit it. Flags combine with `|`.
+enum FieldRule : unsigned {
+  kOptional = 0,            ///< an absent key keeps the member's default
+  kRequired = 1u << 0,      ///< the key must be present (a string non-empty)
+  kPositive = 1u << 1,      ///< a given number must be > 0
+  kOpenFraction = 1u << 2,  ///< a fraction strictly inside (0, 1), not [0, 1]
+  kRegion = 1u << 3,        ///< a required region name, stored as its index
+  kSlice = 1u << 4,         ///< "core" | "all" over the preceding kRegion;
+                            ///< absent = "core" iff it is bytes_per_core
+  kOmitDefault = 1u << 5,   ///< to_json leaves out a member at its default
+  kHalve = 1u << 6,         ///< shrinker: a size to halve toward 1
+  kZero = 1u << 7,          ///< shrinker: a gap or fraction to set to 0
+  kCount = kRequired | kPositive | kHalve,  ///< a required positive count
+};
+
+/// The schema of each spec, `f(key, member, rules)` in to_json order.
+/// Scenario::parse, Scenario::to_json, the region-reference visitor and
+/// the fuzz shrinker all walk these lists, so every key is declared once.
+/// A list-valued entry comes after the entries its elements are checked
+/// against. Doubles are fractions in [0, 1].
+template <class S, class F>
+constexpr void for_each_scenario_field(S& s, F&& f) {
+  f("name", s.name, kRequired), f("description", s.description, kOmitDefault);
+  f("mode", s.mode, kOptional), f("seed", s.seed, kOptional);
+  f("config", s.config, kOptional), f("memory", s.config.memory, kOptional);
+  f("regions", s.regions, kRequired), f("programs", s.programs, kRequired);
+}
+
+/// The "memory" object: backend selection plus both models' knobs (their
+/// keys are memsim/config.hpp's lists). Read after "config", so
+/// memory.flat.* wins over the aliased config-level keys.
+template <class S, class F>
+constexpr void for_each_memory_field(S& m, F&& f) {
+  f("backend", m.kind, kOptional), f("flat", m.flat, kOptional);
+  f("banked", m.banked, kOptional);
+}
+
+template <class S, class F>
+constexpr void for_each_region_field(S& r, F&& f) {
+  f("name", r.name, kRequired), f("class", r.ref, kRequired);
+  f("bytes", r.bytes, kOmitDefault | kHalve);
+  f("bytes_per_core", r.bytes_per_core, kOmitDefault | kHalve);
+}
+
+template <class S, class F>
+constexpr void for_each_stream_field(S& s, F&& f) {
+  f("region", s.region, kRegion), f("kind", s.kind, kOptional);
+  f("store", s.store, kOptional), f("class", s.ref, kOmitDefault);
+  f("start", s.start, kOptional), f("stride", s.stride, kOptional);
+  f("elem_bytes", s.elem_bytes, kPositive);
+  f("slice", s.per_core_slice, kSlice);
+}
+
+template <class S, class F>
+constexpr void for_each_phase_field(S& s, F&& f) {
+  f("iterations", s.iterations, kCount);
+  f("gap_cycles", s.gap_cycles, kZero);
+  f("streams", s.streams, kRequired);
+}
+
+/// Switches on `p.kind`: each kind lists only its own keys. The
+/// "generator" (kind) and "cores" keys precede every kind's list.
+template <class P, class F>
+constexpr void for_each_program_field(P& p, F&& f) {
+  const auto region = [&](bool slice) {
+    f("region", p.region, kRegion);
+    if (slice) f("slice", p.per_core_slice, kSlice);
+    f("class", p.ref, kOmitDefault);
+  };
+  const auto accesses = [&] { f("accesses", p.accesses, kCount); };
+  const auto elem_bytes = [&] { f("elem_bytes", p.elem_bytes, kPositive); };
+  const auto gap_cycles = [&] { f("gap_cycles", p.gap_cycles, kZero); };
+  const auto store_fraction = [&] {
+    f("store_fraction", p.store_fraction, kZero);
+  };
+  switch (p.kind) {
+    case GenKind::scripted:
+      f("phases", p.phases, kRequired);
+      break;
+    case GenKind::zipf:
+      region(true), accesses(), elem_bytes();
+      f("hot_fraction", p.hot_fraction, kOpenFraction);
+      f("hot_weight", p.hot_weight, kOptional);
+      store_fraction(), gap_cycles();
+      break;
+    case GenKind::pointer_chase:
+      region(true), accesses(), elem_bytes(), gap_cycles();
+      break;
+    case GenKind::stencil:
+      f("in", p.region, kRegion), f("out", p.out_region, kRegion);
+      f("sweeps", p.sweeps, kPositive | kHalve), f("halo", p.halo, kHalve);
+      f("halo_class", p.halo_ref, kOmitDefault);
+      elem_bytes(), gap_cycles();
+      break;
+    case GenKind::producer_consumer:
+      region(false);
+      f("iterations", p.iterations, kCount);
+      elem_bytes(), gap_cycles();
+      break;
+    case GenKind::bursty:
+      region(true);
+      f("bursts", p.bursts, kCount), f("burst_len", p.burst_len, kCount);
+      f("gap_on", p.gap_on, kOptional), f("gap_off", p.gap_off, kOptional);
+      store_fraction(), elem_bytes();
+      break;
+  }
+}
+
+/// The field list of whichever spec `s` is.
+template <class S, class F>
+constexpr void for_each_field(S& s, F&& f) {
+  using T = std::remove_const_t<S>;
+  if constexpr (std::is_same_v<T, Scenario>)
+    for_each_scenario_field(s, f);
+  else if constexpr (std::is_same_v<T, mem::MemoryConfig>)
+    for_each_memory_field(s, f);
+  else if constexpr (std::is_same_v<T, RegionSpec>)
+    for_each_region_field(s, f);
+  else if constexpr (std::is_same_v<T, ProgramSpec>)
+    for_each_program_field(s, f);
+  else if constexpr (std::is_same_v<T, PhaseSpec>)
+    for_each_phase_field(s, f);
+  else
+    for_each_stream_field(s, f);
+}
+
+/// True for the list-valued entries (regions, programs, phases, streams).
+template <class T>
+inline constexpr bool is_spec_list = false;
+template <class S>
+inline constexpr bool is_spec_list<std::vector<S>> = true;
 
 }  // namespace raa::scen

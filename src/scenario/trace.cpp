@@ -204,14 +204,14 @@ const char* validate_stream(const TraceData::CoreStream& cs) {
 }
 
 /// Route one of memsim/config.hpp's field lists to a u32 or f64 codec, in
-/// list order — the writer and reader cannot drift apart. The banked
-/// mapping is not part of trace version 2.
+/// list order — the writer and reader cannot drift apart. Enum fields (the
+/// banked mapping) travel as u32 through the same codec.
 template <typename U32, typename F64>
 auto by_type(U32 u32, F64 f64) {
   return [=](const char*, auto& v, bool = false) {
     using T = std::remove_cvref_t<decltype(v)>;
     if constexpr (std::is_same_v<T, double>) f64(v);
-    else if constexpr (std::is_same_v<T, unsigned>) u32(v);
+    else u32(v);
   };
 }
 
@@ -222,13 +222,12 @@ bool TraceData::write_file(const std::string& path, std::string* error) const {
   for (const char m : kMagic) buf.push_back(static_cast<std::uint8_t>(m));
   put_u32(buf, kTraceVersion);
   mem::SystemConfig c = config;
-  mem::for_each_config_field(
-      c, by_type([&](unsigned v) { put_u32(buf, v); },
-                 [&](double v) { put_f64(buf, v); }));
+  const auto write = by_type(
+      [&](auto v) { put_u32(buf, static_cast<std::uint32_t>(v)); },
+      [&](double v) { put_f64(buf, v); });
+  mem::for_each_config_field(c, write);
   put_u32(buf, static_cast<std::uint32_t>(c.memory.kind));
-  mem::for_each_banked_field(
-      c.memory.banked, by_type([&](unsigned v) { put_u32(buf, v); },
-                               [&](double v) { put_f64(buf, v); }));
+  mem::for_each_banked_field(c.memory.banked, write);
   buf.push_back(mode == mem::HierarchyMode::hybrid ? 1 : 0);
   put_str(buf, name);
   put_u32(buf, static_cast<std::uint32_t>(regions.size()));
@@ -289,48 +288,48 @@ std::optional<TraceData> TraceData::read_file(const std::string& path,
 
   TraceData t;
   bool ok = true;
-  const auto read_u32 = [&](unsigned& v) {
+  const auto read_u32 = [&](auto& v) {
+    using T = std::remove_cvref_t<decltype(v)>;
     std::uint32_t x = 0;
     ok = ok && rd.u32(x);
-    v = x;
+    if constexpr (std::is_enum_v<T>)
+      ok = ok && (x < enum_names(T{}).size() ||
+                  rd.fail("enum field out of range"));
+    v = static_cast<T>(x);
   };
   const auto read_f64 = [&](double& v) { ok = ok && rd.f64(v); };
   mem::for_each_config_field(t.config, by_type(read_u32, read_f64));
-  if (!ok) return fail(rd.err);
-  // Config sanity: these fields come from an untrusted file but feed
-  // straight into System setup (divisions, mesh construction). Apply the
-  // same rules the scenario parser enforces.
-  {
-    bool bad = false;
-    mem::for_each_config_field(
-        t.config, by_type([&](unsigned& v) { bad = bad || v == 0; },
-                          [&](double& v) { bad = bad || !(v >= 0.0); }));
-    if (bad) return fail("config field out of range (zero or negative)");
-    if (t.config.tiles > mem::kMaxTiles)
-      return fail("config tiles (" + std::to_string(t.config.tiles) +
-                  ") exceeds the " + std::to_string(mem::kMaxTiles) +
-                  "-tile limit");
-    if (t.config.tiles != t.config.mesh_x * t.config.mesh_y)
-      return fail("config tiles != mesh_x * mesh_y");
-    if (t.config.dma_chunk_bytes % t.config.line_bytes != 0)
-      return fail("config dma_chunk_bytes not a multiple of line_bytes");
-  }
   std::uint32_t backend_kind = 0;
-  if (!rd.u32(backend_kind)) return fail(rd.err);
+  ok = ok && rd.u32(backend_kind);
+  if (!ok) return fail(rd.err);
   if (backend_kind > 1) return fail("bad memory backend kind");
   t.config.memory.kind = static_cast<mem::MemBackendKind>(backend_kind);
   mem::for_each_banked_field(t.config.memory.banked,
                              by_type(read_u32, read_f64));
   if (!ok) return fail(rd.err);
-  {
-    const mem::BankedBackendParams& b = t.config.memory.banked;
-    if (b.channels == 0 || b.banks_per_channel == 0 || b.row_bytes == 0 ||
-        b.line_cycles == 0 || b.dma_cycles_per_line == 0)
-      return fail("banked memory field out of range (zero)");
-    if (!(b.e_line >= 0.0) || !(b.e_activate >= 0.0) ||
-        !(b.e_refresh >= 0.0))
-      return fail("banked memory energy out of range (negative)");
-  }
+  // Config sanity: these fields come from an untrusted file but feed
+  // straight into System setup (divisions, mesh construction). Apply the
+  // rules the scenario parser reads off the same field lists: unsigned
+  // fields positive unless zero_ok, doubles non-negative.
+  bool bad = false;
+  const auto in_range = [&](const char*, auto& v, bool zero_ok = false) {
+    using T = std::remove_cvref_t<decltype(v)>;
+    if constexpr (std::is_same_v<T, double>)
+      bad = bad || !(v >= 0.0);
+    else if constexpr (std::is_same_v<T, unsigned>)
+      bad = bad || (v == 0 && !zero_ok);
+  };
+  mem::for_each_config_field(t.config, in_range);
+  mem::for_each_banked_field(t.config.memory.banked, in_range);
+  if (bad) return fail("config field out of range (zero or negative)");
+  if (t.config.tiles > mem::kMaxTiles)
+    return fail("config tiles (" + std::to_string(t.config.tiles) +
+                ") exceeds the " + std::to_string(mem::kMaxTiles) +
+                "-tile limit");
+  if (t.config.tiles != t.config.mesh_x * t.config.mesh_y)
+    return fail("config tiles != mesh_x * mesh_y");
+  if (t.config.dma_chunk_bytes % t.config.line_bytes != 0)
+    return fail("config dma_chunk_bytes not a multiple of line_bytes");
   if (!rd.need(1, "truncated mode")) return fail(rd.err);
   const std::uint8_t mode_byte = *rd.p++;
   if (mode_byte > 1) return fail("bad hierarchy mode byte");

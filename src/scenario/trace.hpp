@@ -32,7 +32,8 @@
 
 namespace raa::scen {
 
-inline constexpr std::uint32_t kTraceVersion = 2;
+/// Version 3 added the banked backend's bank mapping to the header.
+inline constexpr std::uint32_t kTraceVersion = 3;
 
 /// A fully self-contained recorded run: everything System::run needs to
 /// reproduce the simulation bit-for-bit.

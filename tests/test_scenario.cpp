@@ -6,8 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <map>
 #include <memory>
+#include <set>
+#include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "expect_metrics.hpp"
@@ -33,6 +38,8 @@ using raa::mem::Region;
 using raa::mem::System;
 using raa::mem::SystemConfig;
 using raa::mem::Workload;
+using raa::scen::GenKind;
+using raa::scen::ProgramSpec;
 using raa::scen::Scenario;
 using raa::scen::TraceData;
 
@@ -184,6 +191,22 @@ TEST(Generators, StencilHaloTapsCrossSlicesAsGuarded) {
   const auto& right_tap = s[4 * 31 + 2];
   EXPECT_EQ(right_tap.addr, 64u * 8);
   EXPECT_EQ(right_tap.ref, RefClass::random_unknown);
+}
+
+TEST(Generators, StencilHaloAbove2To31DoesNotWrap) {
+  // 2 * halo + 1 taps must not wrap in 32 bits: with halo = 2^31 every
+  // access of the first element's tap window is a load, not the write.
+  raa::scen::StencilParams p;
+  p.in_region = {0, 4 * 512 * 8};  // 4 cores x 512 elements
+  p.out_region = {1 << 20, 4 * 512 * 8};
+  p.elem_offset = 512;
+  p.elems = 512;
+  p.halo = std::uint32_t{1} << 31;
+  raa::scen::StencilProgram a{p};
+  std::vector<Access> buf(8);
+  ASSERT_EQ(a.fill({buf.data(), buf.size()}), buf.size());
+  for (std::size_t i = 0; i < buf.size(); ++i)
+    EXPECT_FALSE(buf[i].is_store) << i;
 }
 
 TEST(Generators, ProducerConsumerAlternatesOwnStoreAndPeerLoad) {
@@ -388,6 +411,7 @@ TEST(ScenarioParse, RejectsMoreThan64Tiles) {
   EXPECT_FALSE(parse(9, 8, &err).has_value());
   EXPECT_NE(err.find("scenario.config.tiles"), std::string::npos) << err;
   EXPECT_NE(err.find("64-tile limit"), std::string::npos) << err;
+
 }
 
 TEST(EnumNames, EveryEnumeratorRoundTripsAndUnknownNamesFail) {
@@ -410,7 +434,6 @@ TEST(EnumNames, EveryEnumeratorRoundTripsAndUnknownNamesFail) {
   for (const auto e :
        {StreamKind::linear, StreamKind::random, StreamKind::random_rmw})
     EXPECT_EQ(from_string<StreamKind>(raa::kern::to_string(e)), e);
-  using raa::scen::GenKind;
   for (const auto e : {GenKind::scripted, GenKind::zipf,
                        GenKind::pointer_chase, GenKind::stencil,
                        GenKind::producer_consumer, GenKind::bursty})
@@ -474,6 +497,152 @@ TEST(ScenarioParse, LoadFileReportsLineAndColumnForSyntaxErrors) {
 }
 
 // --------------------------------------------------------------------------
+// The program schema: field lists, canonical output, strict keys
+// --------------------------------------------------------------------------
+
+std::string read_text(const std::string& path) {
+  std::ifstream in{path};
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+const std::string kAllKindsPath =
+    std::string{RAA_TEST_DATA_DIR} + "/scenario_all_kinds.json";
+
+TEST(ScenarioSchema, AllKindsFileRoundTripsByteForByte) {
+  // The file uses every generator kind and every key, written in
+  // to_json's canonical form: parse + to_json reproduces it exactly, which
+  // pins the output format (key order, defaults written out).
+  const std::string text = read_text(kAllKindsPath);
+  ASSERT_FALSE(text.empty()) << kAllKindsPath;
+  std::string err;
+  const auto s = Scenario::load_file(kAllKindsPath, &err);
+  ASSERT_TRUE(s.has_value()) << err;
+  EXPECT_EQ(s->to_json().dump(2) + "\n", text);
+  std::set<GenKind> kinds;
+  for (const auto& p : s->programs) kinds.insert(p.kind);
+  EXPECT_EQ(kinds.size(), enum_names(GenKind{}).size());
+}
+
+/// Each kind's keys and rules, read off its field list.
+std::map<std::string, unsigned> program_keys(GenKind kind) {
+  ProgramSpec p;
+  p.kind = kind;
+  std::map<std::string, unsigned> keys;
+  raa::scen::for_each_program_field(
+      p, [&](const char* name, auto&, unsigned rule) { keys[name] = rule; });
+  return keys;
+}
+
+TEST(ScenarioSchema, EveryKindRejectsForeignKeysAndMissingRequiredKeys) {
+  std::string err;
+  const auto doc = raa::json::Value::parse(read_text(kAllKindsPath), &err);
+  ASSERT_TRUE(doc.has_value()) << err;
+  const auto& programs = doc->find("programs")->as_array();
+  const auto expect_error = [](const raa::json::Value& d,
+                               const std::string& want) {
+    std::string e;
+    EXPECT_FALSE(Scenario::parse(d, &e).has_value()) << want;
+    EXPECT_NE(e.find(want), std::string::npos)
+        << "error was: " << e << "\nexpected: " << want;
+  };
+  for (std::size_t i = 0; i < programs.size(); ++i) {
+    const std::string path = "scenario.programs[" + std::to_string(i) + "]";
+    const auto kind = raa::from_string<GenKind>(
+        programs[i].find("generator")->as_string());
+    ASSERT_TRUE(kind.has_value());
+    const auto own = program_keys(*kind);
+    std::size_t foreign = 0;
+    for (const auto& e : enum_names(GenKind{}))
+      for (const auto& [key, rule] : program_keys(e.value)) {
+        if (own.contains(key)) continue;
+        raa::json::Value d = *doc;
+        d.find("programs")->as_array()[i].set(key, 1);
+        expect_error(d, path + "." + key + ": unknown key");
+        ++foreign;
+      }
+    EXPECT_GT(foreign, 0u) << path;
+    for (const auto& [key, rule] : own) {
+      if (!(rule & (raa::scen::kRequired | raa::scen::kRegion))) continue;
+      raa::json::Value d = *doc;
+      auto& obj = d.find("programs")->as_array()[i].as_object();
+      std::erase_if(obj, [&](const auto& m) { return m.first == key; });
+      expect_error(d, path + ": missing required key \"" + key + "\"");
+    }
+  }
+  // The scripted program's phase and stream lists: every required key.
+  const auto nested = [&](auto spec, const std::string& path,
+                          const auto& locate) {
+    raa::scen::for_each_field(spec, [&](const char* key, auto&,
+                                        unsigned rule) {
+      if (!(rule & (raa::scen::kRequired | raa::scen::kRegion))) return;
+      raa::json::Value d = *doc;
+      auto& obj = locate(d).as_object();
+      std::erase_if(obj, [&](const auto& m) { return m.first == key; });
+      expect_error(d, path + ": missing required key \"" +
+                          std::string{key} + "\"");
+    });
+  };
+  const auto phase = [](raa::json::Value& d) -> raa::json::Value& {
+    return d.find("programs")->as_array()[0].find("phases")->as_array()[0];
+  };
+  nested(raa::scen::PhaseSpec{}, "scenario.programs[0].phases[0]", phase);
+  nested(raa::scen::StreamSpec{}, "scenario.programs[0].phases[0].streams[0]",
+         [&](raa::json::Value& d) -> raa::json::Value& {
+           return phase(d).find("streams")->as_array()[0];
+         });
+}
+
+/// Addresses of the members the field list of `s` claims, over `kinds`.
+template <class S>
+std::set<const void*> claimed(S& s, std::initializer_list<GenKind> kinds) {
+  std::set<const void*> out;
+  for (const GenKind k : kinds) {
+    if constexpr (std::is_same_v<S, ProgramSpec>) s.kind = k;
+    raa::scen::for_each_field(
+        s, [&](const char*, auto& x, unsigned) { out.insert(&x); });
+  }
+  return out;
+}
+
+TEST(ScenarioSchema, EverySpecMemberIsClaimedBySomeFieldList) {
+  // The structured bindings break the build when a member is added, so a
+  // new member cannot skip the field lists (and with them the parser,
+  // to_json and the shrinker) unnoticed.
+  ProgramSpec p;
+  auto& [cores, kind, phases, region, out_region, per_core_slice, ref,
+         halo_ref, accesses, iterations, bursts, burst_len, sweeps, halo,
+         elem_bytes, gap_cycles, gap_on, gap_off, hot_fraction, hot_weight,
+         store_fraction] = p;
+  const std::set<const void*> got =
+      claimed(p, {GenKind::scripted, GenKind::zipf, GenKind::pointer_chase,
+                  GenKind::stencil, GenKind::producer_consumer,
+                  GenKind::bursty});
+  const std::set<const void*> want{
+      &phases,   &region,         &out_region, &per_core_slice, &ref,
+      &halo_ref, &accesses,       &iterations, &bursts,         &burst_len,
+      &sweeps,   &halo,           &elem_bytes, &gap_cycles,     &gap_on,
+      &gap_off,  &hot_fraction,   &hot_weight, &store_fraction};
+  EXPECT_EQ(got, want);
+  EXPECT_FALSE(got.contains(&cores));
+  EXPECT_FALSE(got.contains(&kind));
+
+  raa::scen::PhaseSpec ph;
+  auto& [ph_iterations, ph_gap_cycles, ph_streams] = ph;
+  EXPECT_EQ(claimed(ph, {GenKind::scripted}),
+            (std::set<const void*>{&ph_iterations, &ph_gap_cycles,
+                                   &ph_streams}));
+  raa::scen::StreamSpec st;
+  auto& [st_region, st_kind, st_store, st_ref, st_start, st_stride,
+         st_elem_bytes, st_slice] = st;
+  EXPECT_EQ(claimed(st, {GenKind::scripted}),
+            (std::set<const void*>{&st_region, &st_kind, &st_store, &st_ref,
+                                   &st_start, &st_stride, &st_elem_bytes,
+                                   &st_slice}));
+}
+
+// --------------------------------------------------------------------------
 // Trace record / replay
 // --------------------------------------------------------------------------
 
@@ -531,30 +700,35 @@ TEST(TraceRoundTrip, RecordingUnderShardsCapturesTheSameTrace) {
 }
 
 TEST(TraceRoundTrip, FileRoundTripPreservesEverything) {
-  const SystemConfig cfg = small_cfg();
-  Workload w = mixed_workload(cfg, 31);
-  TraceData trace;
-  raa::scen::record_workload(w, cfg, HierarchyMode::hybrid, trace);
-  System sys{cfg, HierarchyMode::hybrid};
-  const Metrics reference = sys.run(w);
+  SystemConfig banked = small_cfg();
+  banked.memory.kind = raa::mem::MemBackendKind::banked;
+  banked.memory.banked.mapping = raa::mem::BankMapping::xor_hash;
+  for (const SystemConfig& cfg : {small_cfg(), banked}) {
+    Workload w = mixed_workload(cfg, 31);
+    TraceData trace;
+    raa::scen::record_workload(w, cfg, HierarchyMode::hybrid, trace);
+    System sys{cfg, HierarchyMode::hybrid};
+    const Metrics reference = sys.run(w);
 
-  const std::string path = temp_path("roundtrip.raat");
-  std::string err;
-  ASSERT_TRUE(trace.write_file(path, &err)) << err;
-  auto loaded = TraceData::read_file(path, &err);
-  ASSERT_TRUE(loaded.has_value()) << err;
-  EXPECT_EQ(loaded->mode, HierarchyMode::hybrid);
-  EXPECT_EQ(loaded->name, "mixed");
-  EXPECT_EQ(loaded->config.tiles, cfg.tiles);
-  EXPECT_EQ(loaded->config.dma_chunk_bytes, cfg.dma_chunk_bytes);
-  ASSERT_EQ(loaded->regions.size(), 2u);
-  EXPECT_EQ(loaded->regions[0].name, "shared");
-  EXPECT_EQ(loaded->regions[1].ref, RefClass::random_noalias);
+    const std::string path = temp_path("roundtrip.raat");
+    std::string err;
+    ASSERT_TRUE(trace.write_file(path, &err)) << err;
+    auto loaded = TraceData::read_file(path, &err);
+    ASSERT_TRUE(loaded.has_value()) << err;
+    EXPECT_EQ(loaded->mode, HierarchyMode::hybrid);
+    EXPECT_EQ(loaded->name, "mixed");
+    EXPECT_EQ(loaded->config, cfg);  // the bank mapping included
+    ASSERT_EQ(loaded->regions.size(), 2u);
+    EXPECT_EQ(loaded->regions[0].name, "shared");
+    EXPECT_EQ(loaded->regions[1].ref, RefClass::random_noalias);
 
-  Workload replay = raa::scen::make_replay_workload(
-      std::make_shared<const TraceData>(std::move(*loaded)));
-  System replay_sys{cfg, HierarchyMode::hybrid};
-  expect_metrics_equal(reference, replay_sys.run(replay));
+    // Replay on the config the file carries, not the caller's.
+    const SystemConfig loaded_cfg = loaded->config;
+    Workload replay = raa::scen::make_replay_workload(
+        std::make_shared<const TraceData>(std::move(*loaded)));
+    System replay_sys{loaded_cfg, HierarchyMode::hybrid};
+    expect_metrics_equal(reference, replay_sys.run(replay));
+  }
 }
 
 TEST(TraceRoundTrip, ReadRejectsCorruptFiles) {
@@ -600,6 +774,14 @@ TEST(TraceRoundTrip, ReadRejectsInsaneConfigs) {
   ASSERT_TRUE(t3.write_file(path, &err)) << err;
   EXPECT_FALSE(TraceData::read_file(path, &err).has_value());
   EXPECT_NE(err.find("64-tile limit"), std::string::npos) << err;
+
+  TraceData t4;  // a bank mapping outside the enum
+  t4.config = small_cfg();
+  t4.config.memory.banked.mapping = static_cast<raa::mem::BankMapping>(7);
+  t4.cores.resize(t4.config.tiles);
+  ASSERT_TRUE(t4.write_file(path, &err)) << err;
+  EXPECT_FALSE(TraceData::read_file(path, &err).has_value());
+  EXPECT_NE(err.find("enum field out of range"), std::string::npos) << err;
 }
 
 // --------------------------------------------------------------------------

@@ -10,8 +10,9 @@
 //
 //   --out=DIR        output directory: per-job <id>.json plus index.json
 //                    (default fleet_out)
-//   --jobs=N         concurrent job lanes (default 1; results are
-//                    byte-identical for every N)
+//   --jobs=N         concurrent job lanes, at least 1 (default 1; capped
+//                    at the job count; results are byte-identical for
+//                    every N)
 //   --mode=M         fallback mode for jobs that set none
 //                    (cache_only | hybrid | compare)
 //   --backend=B      fallback DRAM backend (flat | banked)
@@ -96,19 +97,17 @@ int main(int argc, char** argv) {
   FleetOptions opt;
   opt.manifest = std::move(*man);
   opt.out_dir = cli.get_string("out", "fleet_out");
-  opt.jobs = static_cast<unsigned>(cli.get_int("jobs", 1));
   // The fallbacks follow the manifest's own rules for these keys: a bad
   // name or number is a usage error before any job runs.
-  if (!cli.get_enum("mode", opt.fallback.mode) ||
+  if (!cli.get_uint("jobs", 1u, opt.jobs) ||
+      !cli.get_uint<std::uint64_t>("backoff-ms", 0, opt.backoff_base_ms) ||
+      !cli.get_uint<std::uint64_t>("backoff-cap-ms", 0, opt.backoff_cap_ms) ||
+      !cli.get_enum("mode", opt.fallback.mode) ||
       !cli.get_enum("backend", opt.fallback.backend) ||
       !cli.get_uint("shards", 1u, opt.fallback.shards) ||
       !cli.get_uint<std::uint64_t>("timeout-ms", 0, opt.fallback.timeout_ms) ||
       !cli.get_uint("retries", 0u, opt.fallback.retries))
     return usage(argv[0]);
-  opt.backoff_base_ms =
-      static_cast<std::uint64_t>(cli.get_int("backoff-ms", 50));
-  opt.backoff_cap_ms =
-      static_cast<std::uint64_t>(cli.get_int("backoff-cap-ms", 2000));
   opt.inject_fail = cli.get_string("inject-fail", "");
   opt.inject_flaky = cli.get_string("inject-flaky", "");
   opt.inject_hang = cli.get_string("inject-hang", "");
@@ -122,20 +121,10 @@ int main(int argc, char** argv) {
 
   const raa::fleet::FleetResult res = raa::fleet::run_fleet(opt);
 
-  if (!trace_out.empty()) {
-    const raa::obs::Trace trace = raa::obs::stop();
-    std::string trace_error;
-    if (!raa::obs::write_chrome_trace(trace, trace_out,
-                                      raa::obs::TraceClock::host,
-                                      &trace_error)) {
-      std::fprintf(stderr, "raa_fleet: %s\n", trace_error.c_str());
-      return raa::kExitFailure;
-    }
-    if (!opt.quiet)
-      std::printf("[raa_fleet] wrote trace %s (%zu events, %llu dropped)\n",
-                  trace_out.c_str(), trace.events.size(),
-                  static_cast<unsigned long long>(trace.dropped));
-  }
+  if (!trace_out.empty() &&
+      !raa::obs::stop_and_export(trace_out, raa::obs::TraceClock::host,
+                                 "raa_fleet", opt.quiet))
+    return raa::kExitFailure;
   if (!res.error.empty())
     std::fprintf(stderr, "raa_fleet: %s\n", res.error.c_str());
   if (res.records.empty()) return res.exit_code;

@@ -194,21 +194,9 @@ int main(int argc, char** argv) try {
   }
   const double wall =
       std::chrono::duration<double>(clock::now() - t0).count();
-  if (!trace_out.empty()) {
-    const raa::obs::Trace obs_trace = raa::obs::stop();
-    std::string error;
-    if (!raa::obs::write_chrome_trace(obs_trace, trace_out, *trace_clock,
-                                      &error)) {
-      std::fprintf(stderr, "error: %s\n", error.c_str());
-      return raa::kExitFailure;
-    }
-    if (!quiet)
-      std::printf(
-          "wrote trace %s (%zu events, %llu dropped, clock=%s)\n",
-          trace_out.c_str(), obs_trace.events.size(),
-          static_cast<unsigned long long>(obs_trace.dropped),
-          raa::obs::to_string(*trace_clock));
-  }
+  if (!trace_out.empty() &&
+      !raa::obs::stop_and_export(trace_out, *trace_clock, "raa_sim", quiet))
+    return raa::kExitFailure;
 
   if (!record_path.empty()) {
     std::string error;
