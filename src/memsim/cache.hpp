@@ -1,22 +1,26 @@
 #pragma once
 /// \file cache.hpp
-/// Set-associative write-back cache with true-LRU replacement. Used for the
+/// Set-associative write-back cache with exact LRU replacement. Used for the
 /// private L1-D caches and the shared L2 banks. The cache tracks per-line
-/// coherence state (MSI for L1s; L2 lines are either present or not, with
+/// coherence state (MESI for L1s; L2 lines are either present or not, with
 /// sharer bookkeeping held by the directory) and a functional value so the
 /// protocol tests can assert that no access ever observes stale data.
 ///
-/// Storage is struct-of-arrays: the tag words scanned by every probe live
-/// in their own densely packed array (one host cache line covers an 8-way
-/// set), while LRU stamps, values and states are touched only on hits and
-/// mutations. With multi-megabyte simulated L2 banks the tag scan is the
-/// memory-bound part of the simulator's hot path, and the split cuts the
-/// host lines touched per miss probe by 4x.
+/// Each set is one contiguous block of words: `assoc` tags, `assoc` values,
+/// then one state byte and one LRU age byte per way, padded to whole words.
+/// An 8-way set is 144 bytes (18 per way), so a modelled miss reads tags,
+/// victim and metadata from one block, not from arrays that each span the
+/// whole L2. A tag word holds `~line_addr` and state 0 is `invalid`, so an
+/// all-zero block is an empty set.
 ///
-/// Hot paths use the way-handle API (`probe` / `probe_touch` returning a
-/// way index, `kMiss` on miss) so one associative scan serves all the
-/// state/value reads and writes of an access. The scalar convenience
-/// methods remain for tests and cold paths.
+/// Over a set's valid ways the ages are a permutation of 0..valid-1, 0 the
+/// most recent: a touch or insert ages every younger valid way by one, an
+/// invalidate closes the gap, and the victim is the oldest valid way; empty
+/// ways fill first, lowest index first.
+///
+/// Accesses go through way handles (`probe` / `probe_touch`, `kMiss` on a
+/// miss), so one associative scan serves all reads and writes of an access.
+/// A handle is the block's word offset shifted left by 8, plus the way.
 
 #include <bit>
 #include <cstdint>
@@ -24,6 +28,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "memsim/config.hpp"
 
 namespace raa::mem {
 
@@ -53,53 +58,66 @@ class Cache {
   Cache(unsigned capacity_bytes, unsigned assoc, unsigned line_bytes,
         bool hashed_index = false)
       : assoc_(assoc), line_bytes_(line_bytes), hashed_index_(hashed_index) {
-    RAA_CHECK(assoc > 0 && line_bytes > 0);
-    RAA_CHECK(capacity_bytes % (assoc * line_bytes) == 0);
-    sets_ = capacity_bytes / (assoc * line_bytes);
+    // check_config rejects every geometry these checks catch.
+    RAA_CHECK(assoc > 0 && assoc <= kMaxAssoc && line_bytes > 0);
+    const std::uint64_t set_bytes = std::uint64_t{assoc} * line_bytes;
+    RAA_CHECK(capacity_bytes % set_bytes == 0 && capacity_bytes > 0);
+    sets_ = static_cast<unsigned>(capacity_bytes / set_bytes);
     line_pow2_ = std::has_single_bit(line_bytes);
     if (line_pow2_)
       line_shift_ = static_cast<unsigned>(std::countr_zero(line_bytes));
     sets_pow2_ = std::has_single_bit(sets_);
-    const std::size_t n = static_cast<std::size_t>(sets_) * assoc_;
-    tags_.assign(n, kNoLine);
-    values_.assign(n, 0);
-    lru_.assign(n, 0);
-    states_.assign(n, LineState::invalid);
+    stride_ = 2 * assoc_ + (2 * assoc_ + 7) / 8;
+    words_.assign(static_cast<std::size_t>(sets_) * stride_, 0);
   }
 
   unsigned sets() const noexcept { return sets_; }
   unsigned assoc() const noexcept { return assoc_; }
 
-  /// Way-handle lookup: the resident way's index, or kMiss. No LRU touch.
+  /// Way-handle lookup: the resident way's handle, or kMiss. No LRU touch.
   std::size_t probe(std::uint64_t line_addr) const {
     const std::size_t base = set_base(line_addr);
+    const std::uint64_t tag = ~line_addr;
     for (unsigned i = 0; i < assoc_; ++i)
-      if (tags_[base + i] == line_addr) return base + i;
+      if (words_[base + i] == tag) return base << kWayBits | i;
     return kMiss;
   }
 
   /// Way-handle lookup that touches LRU on hit (a demand access).
   std::size_t probe_touch(std::uint64_t line_addr) {
     const std::size_t w = probe(line_addr);
-    if (w != kMiss) lru_[w] = ++clock_;
+    if (w == kMiss) return w;
+    unsigned char* st = meta(w >> kWayBits);
+    // Age 0 is already the most recent: the common re-hit costs nothing.
+    if (const unsigned age = st[assoc_ + (w & kWayMask)])
+      make_recent(st, w & kWayMask, age);
     return w;
   }
 
   // Way-handle accessors. `way` must come from a probe hit on this cache;
   // handles stay valid until the way is evicted or invalidated.
-  LineState state_of(std::size_t way) const { return states_[way]; }
-  void set_state_of(std::size_t way, LineState s) {
-    RAA_CHECK(s != LineState::invalid);  // use invalidate()
-    states_[way] = s;
+  LineState state_of(std::size_t way) const {
+    return static_cast<LineState>(meta(way >> kWayBits)[way & kWayMask]);
   }
-  std::uint64_t value_of(std::size_t way) const { return values_[way]; }
+  void set_state_of(std::size_t way, LineState s) {
+    RAA_CHECK(s != LineState::invalid);  // use invalidate_way()
+    meta(way >> kWayBits)[way & kWayMask] = static_cast<unsigned char>(s);
+  }
+  std::uint64_t value_of(std::size_t way) const {
+    return words_[(way >> kWayBits) + assoc_ + (way & kWayMask)];
+  }
   void set_value_of(std::size_t way, std::uint64_t value) {
-    values_[way] = value;
+    words_[(way >> kWayBits) + assoc_ + (way & kWayMask)] = value;
   }
   /// Drop a resident way (its victim record is the caller's to assemble).
   void invalidate_way(std::size_t way) {
-    tags_[way] = kNoLine;
-    states_[way] = LineState::invalid;
+    const unsigned i = way & kWayMask, n = assoc_;
+    words_[(way >> kWayBits) + i] = 0;
+    unsigned char* st = meta(way >> kWayBits);
+    unsigned char* age = st + n;
+    const unsigned a = age[i];
+    st[i] = age[i] = 0;
+    for (unsigned j = 0; j < n; ++j) age[j] -= st[j] != 0 && age[j] > a;
   }
 
   /// True when the line is present (state != invalid).
@@ -107,64 +125,35 @@ class Cache {
     return probe(line_addr) != kMiss;
   }
 
-  LineState state(std::uint64_t line_addr) const {
-    const std::size_t w = probe(line_addr);
-    return w == kMiss ? LineState::invalid : states_[w];
-  }
-
-  /// Probe and, on hit, touch LRU. Returns the state (invalid on miss).
-  LineState access(std::uint64_t line_addr) {
-    const std::size_t w = probe_touch(line_addr);
-    return w == kMiss ? LineState::invalid : states_[w];
-  }
-
-  std::uint64_t value(std::uint64_t line_addr) const {
-    const std::size_t w = probe(line_addr);
-    RAA_CHECK(w != kMiss);
-    return values_[w];
-  }
-
-  void set_value(std::uint64_t line_addr, std::uint64_t value) {
-    const std::size_t w = probe(line_addr);
-    RAA_CHECK(w != kMiss);
-    values_[w] = value;
-  }
-
-  void set_state(std::uint64_t line_addr, LineState s) {
-    const std::size_t w = probe(line_addr);
-    RAA_CHECK(w != kMiss);
-    set_state_of(w, s);
-  }
-
   /// Insert a line (must not be present); returns the evicted victim, if
   /// any. The inserted line becomes MRU. The duplicate check rides the
-  /// victim scan, so insertion costs a single pass over the set's tags.
+  /// empty-way scan, so insertion costs a single pass over the set's tags.
   std::optional<Victim> insert(std::uint64_t line_addr, LineState s,
                                std::uint64_t value) {
     RAA_CHECK(s != LineState::invalid);
     const std::size_t base = set_base(line_addr);
-    std::size_t slot = kMiss;
-    std::size_t lru = kMiss;
-    for (unsigned i = 0; i < assoc_; ++i) {
-      const std::size_t w = base + i;
-      if (tags_[w] == kNoLine) {
-        if (slot == kMiss) slot = w;
-        continue;
-      }
-      RAA_CHECK(tags_[w] != line_addr);  // must not already be present
-      if (lru == kMiss || lru_[w] < lru_[lru]) lru = w;
+    const std::uint64_t tag = ~line_addr;
+    const unsigned n = assoc_;
+    unsigned slot = n;
+    for (unsigned i = 0; i < n; ++i) {
+      const std::uint64_t t = words_[base + i];
+      RAA_CHECK(t != tag);  // must not already be present
+      if (t == 0 && slot == n) slot = i;
     }
+    unsigned char* st = meta(base);
     std::optional<Victim> victim;
-    if (slot == kMiss) {
-      RAA_CHECK(lru != kMiss);
-      victim = Victim{tags_[lru], states_[lru] == LineState::modified,
-                      states_[lru], values_[lru]};
-      slot = lru;
+    if (slot == n) {  // full set: the ages are 0..n-1, evict the oldest
+      slot = 0;
+      while (slot < n && st[n + slot] != n - 1) ++slot;
+      RAA_CHECK(slot < n);
+      const auto vs = static_cast<LineState>(st[slot]);
+      victim = Victim{~words_[base + slot], vs == LineState::modified, vs,
+                      words_[base + n + slot]};
     }
-    tags_[slot] = line_addr;
-    states_[slot] = s;
-    values_[slot] = value;
-    lru_[slot] = ++clock_;
+    make_recent(st, slot, victim ? n - 1 : n);  // an empty way is oldest
+    words_[base + slot] = tag;
+    words_[base + n + slot] = value;
+    st[slot] = static_cast<unsigned char>(s);
     return victim;
   }
 
@@ -172,25 +161,19 @@ class Cache {
   std::optional<Victim> invalidate(std::uint64_t line_addr) {
     const std::size_t w = probe(line_addr);
     if (w == kMiss) return std::nullopt;
-    const Victim v{tags_[w], states_[w] == LineState::modified, states_[w],
-                   values_[w]};
+    const LineState s = state_of(w);
+    const Victim v{line_addr, s == LineState::modified, s, value_of(w)};
     invalidate_way(w);
     return v;
   }
 
-  /// Number of resident lines (diagnostics).
-  std::size_t occupancy() const {
-    std::size_t n = 0;
-    for (const std::uint64_t t : tags_)
-      if (t != kNoLine) ++n;
-    return n;
-  }
-
  private:
-  /// Tag sentinel for an empty way. Line addresses are line-aligned, so
-  /// all-ones can never collide with a real line.
-  static constexpr std::uint64_t kNoLine = ~std::uint64_t{0};
+  /// A handle's low byte is the way; kMaxAssoc keeps every way inside it.
+  static constexpr unsigned kWayBits = 8;
+  static constexpr std::size_t kWayMask = (std::size_t{1} << kWayBits) - 1;
+  static_assert(kMaxAssoc <= kWayMask + 1);
 
+  /// The word offset of the block holding `line_addr`'s set.
   std::size_t set_base(std::uint64_t line_addr) const {
     std::uint64_t index =
         line_pow2_ ? line_addr >> line_shift_ : line_addr / line_bytes_;
@@ -202,23 +185,34 @@ class Cache {
     }
     const std::uint64_t set =
         sets_pow2_ ? index & (sets_ - 1) : index % sets_;
-    return static_cast<std::size_t>(set) * assoc_;
+    return static_cast<std::size_t>(set) * stride_;
+  }
+
+  /// The block's metadata: `assoc` state bytes, then `assoc` age bytes.
+  unsigned char* meta(std::size_t base) {
+    return reinterpret_cast<unsigned char*>(&words_[base + 2 * assoc_]);
+  }
+  const unsigned char* meta(std::size_t base) const {
+    return reinterpret_cast<const unsigned char*>(&words_[base + 2 * assoc_]);
+  }
+
+  /// Make way `i` the most recent: every valid way younger than `age`, the
+  /// way's old age, ages by one. `st` is the block's metadata.
+  void make_recent(unsigned char* st, unsigned i, unsigned age) {
+    const unsigned n = assoc_;  // a local: byte stores may alias members
+    for (unsigned j = 0; j < n; ++j) st[n + j] += st[j] != 0 && st[n + j] < age;
+    st[n + i] = 0;
   }
 
   unsigned sets_ = 0;
   unsigned assoc_ = 0;
+  unsigned stride_ = 0;  ///< words per set block
   unsigned line_bytes_ = 0;
   unsigned line_shift_ = 0;
   bool line_pow2_ = false;
   bool sets_pow2_ = false;
   bool hashed_index_ = false;
-  std::uint64_t clock_ = 0;
-  // Struct-of-arrays (see file comment): tags are the probe-scan target,
-  // the rest is touched on hits/mutations only.
-  std::vector<std::uint64_t> tags_;
-  std::vector<std::uint64_t> values_;
-  std::vector<std::uint64_t> lru_;
-  std::vector<LineState> states_;
+  std::vector<std::uint64_t> words_;  ///< the set blocks (see file comment)
 };
 
 }  // namespace raa::mem

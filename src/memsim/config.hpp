@@ -17,6 +17,8 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
+#include <string>
 
 #include "common/enum_names.hpp"
 
@@ -26,6 +28,11 @@ namespace raa::mem {
 /// sharer set in one 64-bit mask. Scenario and trace readers reject larger
 /// chips with a parse error before anything is instantiated.
 inline constexpr unsigned kMaxTiles = 64;
+
+/// Hard ceiling on l1_assoc and l2_assoc: a cache set keeps each way's LRU
+/// age in one byte, and a way handle keeps the way in its low byte
+/// (memsim/cache.hpp).
+inline constexpr unsigned kMaxAssoc = 256;
 
 /// Which DRAM-timing model serves line fills and writebacks (see
 /// memsim/backend.hpp for the MemBackend interface and both models).
@@ -159,6 +166,53 @@ struct SystemConfig {
   /// contract — generate -> serialize -> parse — is field-identical).
   friend bool operator==(const SystemConfig&, const SystemConfig&) = default;
 };
+
+/// A broken SystemConfig rule: `field` is the config key to blame, or
+/// empty when the rule spans the config as a whole.
+struct ConfigError {
+  const char* field = "";
+  std::string message;
+};
+
+/// The SystemConfig rules that span several fields, for the scenario parser
+/// and the RAAT reader alike. Both check each field first (unsigned fields
+/// positive), so this may divide by line_bytes. Products are taken in 64
+/// bits: an `unsigned` `assoc * line_bytes` or `mesh_x * mesh_y` can wrap
+/// to a value that passes.
+inline std::optional<ConfigError> check_config(const SystemConfig& c) {
+  const auto str = [](std::uint64_t v) { return std::to_string(v); };
+  if (c.tiles > kMaxTiles)
+    return ConfigError{"tiles", "tiles (" + str(c.tiles) + ") exceeds the " +
+                                    str(kMaxTiles) + "-tile limit (the "
+                                    "directory's sharer mask)"};
+  const std::uint64_t mesh = std::uint64_t{c.mesh_x} * c.mesh_y;
+  if (c.tiles != mesh)
+    return ConfigError{"", "tiles (" + str(c.tiles) +
+                               ") must equal mesh_x * mesh_y (" + str(mesh) +
+                               ")"};
+  if (c.dma_chunk_bytes % c.line_bytes != 0)
+    return ConfigError{"dma_chunk_bytes",
+                       "dma_chunk_bytes must be a multiple of line_bytes"};
+  const struct {
+    const char *bytes_key, *assoc_key;
+    unsigned bytes, assoc;
+  } caches[] = {{"l1_bytes", "l1_assoc", c.l1_bytes, c.l1_assoc},
+                {"l2_bank_bytes", "l2_assoc", c.l2_bank_bytes, c.l2_assoc}};
+  for (const auto& k : caches) {
+    const std::uint64_t set_bytes = std::uint64_t{k.assoc} * c.line_bytes;
+    if (k.assoc > kMaxAssoc)
+      return ConfigError{k.assoc_key, std::string{k.assoc_key} + " (" +
+                                          str(k.assoc) + ") exceeds the " +
+                                          str(kMaxAssoc) + "-way limit"};
+    if (k.bytes % set_bytes != 0)
+      return ConfigError{k.bytes_key, std::string{k.bytes_key} + " (" +
+                                          str(k.bytes) +
+                                          ") must be a positive multiple of " +
+                                          k.assoc_key + " * line_bytes (" +
+                                          str(set_bytes) + ")"};
+  }
+  return std::nullopt;
+}
 
 /// The one list of SystemConfig's numeric fields: `f(name, field)` in the
 /// order the scenario "config" object and the RAAT trace header share. The

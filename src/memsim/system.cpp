@@ -477,9 +477,12 @@ double System::dma_map_chunk(unsigned core, const Region& region,
       // A Modified/Exclusive L1 copy supersedes everything; collect it,
       // reflect it to the home bank, and invalidate the owner.
       const auto owner = static_cast<unsigned>(li.owner);
-      value = l1_[owner].value(line);
+      Cache& oc = l1_[owner];
+      const std::size_t ow = oc.probe(line);
+      RAA_CHECK(ow != Cache::kMiss);
+      value = oc.value_of(ow);
       from_cache_side = true;
-      l1_[owner].invalidate(line);
+      oc.invalidate_way(ow);
       ++metrics_.invalidations;
       send(home, owner, 1);
       if (fetch) send(owner, core, flits_line_);

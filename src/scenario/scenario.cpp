@@ -76,17 +76,8 @@ bool parse_config(Ctx& c, const Value& v, const std::string& path,
           [&](auto&& f) { mem::for_each_config_field(cfg, f); },
           "unknown config key"))
     return false;
-  if (cfg.tiles > mem::kMaxTiles)
-    return c.fail(path + ".tiles",
-                  "tiles (" + std::to_string(cfg.tiles) + ") exceeds the " +
-                      std::to_string(mem::kMaxTiles) +
-                      "-tile limit (the directory's sharer mask)");
-  if (cfg.tiles != cfg.mesh_x * cfg.mesh_y)
-    return c.fail(path, "tiles (" + std::to_string(cfg.tiles) +
-                            ") must equal mesh_x * mesh_y (" +
-                            std::to_string(cfg.mesh_x * cfg.mesh_y) + ")");
-  if (cfg.dma_chunk_bytes % cfg.line_bytes != 0)
-    return c.fail(path, "dma_chunk_bytes must be a multiple of line_bytes");
+  if (const auto e = mem::check_config(cfg))
+    return c.fail(*e->field ? path + "." + e->field : path, e->message);
   return true;
 }
 

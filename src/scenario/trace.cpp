@@ -322,14 +322,8 @@ std::optional<TraceData> TraceData::read_file(const std::string& path,
   mem::for_each_config_field(t.config, in_range);
   mem::for_each_banked_field(t.config.memory.banked, in_range);
   if (bad) return fail("config field out of range (zero or negative)");
-  if (t.config.tiles > mem::kMaxTiles)
-    return fail("config tiles (" + std::to_string(t.config.tiles) +
-                ") exceeds the " + std::to_string(mem::kMaxTiles) +
-                "-tile limit");
-  if (t.config.tiles != t.config.mesh_x * t.config.mesh_y)
-    return fail("config tiles != mesh_x * mesh_y");
-  if (t.config.dma_chunk_bytes % t.config.line_bytes != 0)
-    return fail("config dma_chunk_bytes not a multiple of line_bytes");
+  if (const auto e = mem::check_config(t.config))
+    return fail("config " + e->message);
   if (!rd.need(1, "truncated mode")) return fail(rd.err);
   const std::uint8_t mode_byte = *rd.p++;
   if (mode_byte > 1) return fail("bad hierarchy mode byte");

@@ -313,6 +313,18 @@ TEST(ScenarioParse, ReportsActionableErrors) {
   expect_error(R"({"name": "t", "config": {"tiles": 8}, )" + base +
                    R"(, "programs": []})",
                "mesh_x * mesh_y");
+  // 641 * 6700417 = 2^32 + 1: a 32-bit product would wrap to tiles.
+  expect_error(R"({"name": "t", "config": {"tiles": 1, "mesh_x": 641,
+                   "mesh_y": 6700417}, )" + base + R"(, "programs": []})",
+               "must equal mesh_x * mesh_y (4294967297)");
+  expect_error(R"({"name": "t", "config": {"l2_bank_bytes": 1000}, )" +
+                   base + R"(, "programs": []})",
+               "scenario.config.l2_bank_bytes: l2_bank_bytes (1000) must be "
+               "a positive multiple of l2_assoc * line_bytes (512)");
+  expect_error(R"({"name": "t", "config": {"l2_assoc": 257}, )" + base +
+                   R"(, "programs": []})",
+               "scenario.config.l2_assoc: l2_assoc (257) exceeds the "
+               "256-way limit");
   expect_error(R"({"name": "t", )" + base +
                    R"(, "memory": {"banked": {"mapping": "hash"}},
                    "programs": []})",
@@ -774,6 +786,29 @@ TEST(TraceRoundTrip, ReadRejectsInsaneConfigs) {
   ASSERT_TRUE(t3.write_file(path, &err)) << err;
   EXPECT_FALSE(TraceData::read_file(path, &err).has_value());
   EXPECT_NE(err.find("64-tile limit"), std::string::npos) << err;
+
+  // Cache geometries System's caches cannot build: not a whole number of
+  // sets, an associativity past the set layout's limit, and an
+  // assoc * line_bytes product that wraps to 0 in 32 bits.
+  const auto rejects_geometry = [&](SystemConfig cfg, const char* fragment) {
+    TraceData tg;
+    tg.config = cfg;
+    tg.cores.resize(tg.config.tiles);
+    ASSERT_TRUE(tg.write_file(path, &err)) << err;
+    EXPECT_FALSE(TraceData::read_file(path, &err).has_value());
+    EXPECT_NE(err.find(fragment), std::string::npos) << err;
+  };
+  SystemConfig g = small_cfg();
+  g.l1_bytes = 1000;
+  rejects_geometry(g, "config l1_bytes (1000) must be a positive multiple");
+  g = small_cfg();
+  g.l1_assoc = g.line_bytes = g.dma_chunk_bytes = 65536;
+  rejects_geometry(g, "config l1_assoc (65536) exceeds the 256-way limit");
+  g = small_cfg();
+  g.l1_assoc = raa::mem::kMaxAssoc;
+  g.line_bytes = g.dma_chunk_bytes = 1u << 24;
+  rejects_geometry(g, "config l1_bytes (4096) must be a positive multiple "
+                      "of l1_assoc * line_bytes (4294967296)");
 
   TraceData t4;  // a bank mapping outside the enum
   t4.config = small_cfg();
